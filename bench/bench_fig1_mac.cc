@@ -126,7 +126,8 @@ main(int argc, char **argv)
     ise.machine().resetStats();
     // Optional waveform capture of the 552-cycle multiplication; the
     // recording run routes through the reference loop, whose timing
-    // is pinned to the fast path, so the numbers below are unchanged.
+    // is pinned to the superblock backend, so the numbers below are
+    // unchanged.
     VcdWriter vcd;
     if (!vcdPath.empty()) {
         ise.machine().setWaveSink(&vcd);

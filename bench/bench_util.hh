@@ -16,9 +16,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "avr/machine.hh"
 #include "support/json.hh"
 
 namespace jaavr::bench
@@ -50,24 +50,13 @@ gitSha()
 #endif
 }
 
-/**
- * The ISS backend the environment selects for this run:
- * JAAVR_ISS_REFERENCE=1 wins (legacy force-reference switch), then
- * JAAVR_ISS_BACKEND (reference|fast|superblock), else the default
- * superblock backend. Mirrors the Machine's own env handling.
- */
+/** The ISS backend the environment selects for this run (see
+ *  issBackendFromEnv()), parsed once per process. */
 inline std::string
 issPathFromEnv()
 {
-    if (const char *ref = std::getenv("JAAVR_ISS_REFERENCE");
-        ref && *ref && *ref != '0')
-        return "reference";
-    if (const char *be = std::getenv("JAAVR_ISS_BACKEND");
-        be && (!std::strcmp(be, "reference") ||
-               !std::strcmp(be, "fast") ||
-               !std::strcmp(be, "superblock")))
-        return be;
-    return "superblock";
+    static const std::string path = issBackendName(issBackendFromEnv());
+    return path;
 }
 
 /**

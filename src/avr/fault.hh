@@ -7,9 +7,9 @@
  * trigger delay in cycles, optionally counted from the first arrival
  * at a routine-entry PC resolved through the SymbolTable).
  *
- * The injector is polled by both execution paths at every boundary,
- * through a dedicated runFast<..., Faulted> instantiation so the
- * unarmed fast path carries zero overhead (same pattern as the
+ * A pending plan routes Machine::run() through the reference loop,
+ * which polls the injector at every boundary, so the unarmed
+ * superblock backend carries zero overhead (same pattern as the
  * ProfileSink). A plan fires exactly once; re-running the machine
  * with the injector still attached executes cleanly, which is what
  * lets time-redundant (run-twice-and-compare) countermeasures detect

@@ -1,11 +1,10 @@
 /**
  * @file
- * Branchless SREG flag evaluation shared by the predecoded fast path
- * (machine.cc, runFast) and the superblock backend (superblock.cc):
- * one read-modify-write of SREG per instruction instead of one per
- * flag. The reference path (Machine::step) keeps the original
- * setFlag-based helpers; tests/test_decode_cache.cc and
- * tests/test_superblock.cc pin all paths to bit-identical SREG
+ * Branchless SREG flag evaluation for the superblock backend
+ * (superblock.cc): one read-modify-write of SREG per instruction
+ * instead of one per flag. The reference path (Machine::step) keeps
+ * the original setFlag-based helpers; tests/test_superblock.cc and
+ * tests/test_decode_cache.cc pin both backends to bit-identical SREG
  * values.
  */
 

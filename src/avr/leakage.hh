@@ -24,8 +24,8 @@
  * Sampling needs the machine's architectural state current after
  * every retirement, which only the reference loop provides: an
  * *active* tracer routes run() through the reference loop, an idle
- * (attached but not armed) tracer leaves every fast-path/superblock
- * instantiation untouched at exactly zero simulated cycles — pinned
+ * (attached but not armed) tracer leaves the superblock backend
+ * untouched at exactly zero simulated cycles — pinned
  * by tests/test_leakage.cc, mirroring tests/test_vcd.cc.
  */
 

@@ -61,18 +61,22 @@ class MacUnit
                         static_cast<uint32_t>(regs[17]) << 8 |
                         static_cast<uint32_t>(regs[18]) << 16 |
                         static_cast<uint32_t>(regs[19]) << 24;
-        // 36-bit product through the barrel shifter (<= 64 bits).
+        // 36-bit product through the barrel shifter (< 2^64).
         uint64_t shifted = (static_cast<uint64_t>(word) * (nibble & 0xf))
                            << (4 * counter);
-        // 72-bit accumulate into R0..R8.
-        unsigned __int128 acc = 0;
-        for (int i = 8; i >= 0; i--)
-            acc = (acc << 8) | regs[i];
-        acc += shifted;
-        for (int i = 0; i <= 8; i++) {
-            regs[i] = static_cast<uint8_t>(acc);
-            acc >>= 8;
-        }
+        // 72-bit accumulate into R0..R8: the low 64 bits, then the
+        // carry into the top byte (mod 2^72, like the hardware adder).
+        // Fully unrolled, the byte loops compile to one 64-bit load,
+        // add and store.
+        uint64_t lo = 0;
+#pragma GCC unroll 8
+        for (unsigned i = 0; i < 8; i++)
+            lo |= static_cast<uint64_t>(regs[i]) << (8 * i);
+        uint64_t sum = lo + shifted;
+        regs[8] = static_cast<uint8_t>(regs[8] + (sum < lo));
+#pragma GCC unroll 8
+        for (unsigned i = 0; i < 8; i++)
+            regs[i] = static_cast<uint8_t>(sum >> (8 * i));
         counter = (counter + 1) & 7;
         macsPerformed++;
     }

@@ -36,35 +36,38 @@ struct Trap;
 
 /**
  * Execution backend selected for run()/call() (see DESIGN.md §11):
- * Reference is the per-step decode loop, Fast the predecoded
- * mode-specialized loop of PR 1, Superblock the trace-translating
- * threaded-dispatch backend built on top of the decode cache.
- * Superblock is the default where legal; runs with attached sinks,
- * hooks, pending faults or tracing fall back exactly as before
- * (sinks → reference, hooks/faults → specialized fast loops).
- * Overridable via JAAVR_ISS_BACKEND=reference|fast|superblock;
- * JAAVR_ISS_REFERENCE=1 still forces the reference loop and wins.
+ * Reference is the per-step decode loop (step()), Superblock the
+ * trace-translating threaded-dispatch backend built on top of the
+ * decode cache, in every CPU mode and MACCR mode. Superblock is the
+ * default; runs with tracing, an attached profiler, an active wave
+ * or leakage sink, a debug hook that wants stops or a pending fault
+ * take the reference loop on either backend, which honours all of
+ * them. Overridable via JAAVR_ISS_BACKEND=reference|superblock.
  */
 enum class IssBackend : uint8_t
 {
     Reference,
-    Fast,
     Superblock,
 };
+
+/**
+ * The backend JAAVR_ISS_BACKEND selects: "reference" or
+ * "superblock"; unset selects Superblock, and any other value warns
+ * and keeps Superblock. The one parser of that variable.
+ */
+IssBackend issBackendFromEnv();
 
 /** Short stable name for @p backend ("reference", ...). */
 const char *issBackendName(IssBackend backend);
 
 /**
  * Cycle-accurate waveform observer (src/avr/vcd.hh implements it as
- * a VCD writer). Unlike ProfileSink/DebugHook — whose events carry
- * their own arguments so the fast path can keep hot state in loop
- * locals — a wave sink samples the *machine itself* after every
- * retirement, which only the reference path keeps current per
+ * a VCD writer). A wave sink samples the *machine itself* after
+ * every retirement, which only the reference path keeps current per
  * instruction. run() therefore routes through the reference loop
- * while active() is true and through the normal zero-overhead fast
- * path while it is false: an attached-but-idle sink costs exactly
- * zero cycles, pinned by tests/test_vcd.cc the same way
+ * while active() is true and through the normal zero-overhead
+ * superblock backend while it is false: an attached-but-idle sink
+ * costs exactly zero cycles, pinned by tests/test_vcd.cc the same way
  * DebugHookAddsZeroCyclesWhenNotStopping pins the debug hook.
  * active() is sampled once at run() entry; the sink must outlive the
  * machine or detach before destruction.
@@ -90,12 +93,12 @@ class WaveSink
 
 /**
  * Cold-path trap observer (src/obs/ flight recorder): every
- * run()/call() that stops on a trap — on any backend, fast or
- * reference — reports it here exactly once, from the same funnel
- * that bumps ExecStats::trapCount. The hook fires strictly *after*
+ * run()/call() that stops on a trap — on either backend — reports
+ * it here exactly once, from the same funnel that bumps
+ * ExecStats::trapCount. The hook fires strictly *after*
  * the executed region has been accounted, so attaching a sink can
  * never perturb simulated cycles or architectural state (pinned by
- * tests/test_obs.cc on all three backends); with no trap raised it
+ * tests/test_obs.cc on both backends); with no trap raised it
  * is never consulted at all. The sink must outlive the machine or
  * detach before destruction.
  */
@@ -114,14 +117,12 @@ class TrapSink
  * instruction boundary and reports every data-space access, which is
  * what software breakpoints and data watchpoints are built from.
  *
- * The hook follows the ProfileSink pinning discipline: the predecoded
- * fast path compiles a separate hooked loop instantiation, selected
- * only when wantsStops() is true at run() entry, so with no debugger
- * attached (or a debugger with nothing to watch) the plain loop runs
- * with zero overhead (pinned by tests/test_decode_cache.cc). During
- * the fast path the machine's register file, SREG, PC and ExecStats
- * members are batched in loop locals, so hook implementations must
- * rely on the event arguments only and must not mutate the machine.
+ * A hook whose wantsStops() is true at run() entry routes the run
+ * through the reference loop, which consults it per instruction;
+ * with no debugger attached (or a debugger with nothing to watch)
+ * the superblock backend runs with zero overhead (pinned by
+ * tests/test_decode_cache.cc). Hook implementations must rely on the
+ * event arguments only and must not mutate the machine.
  */
 class DebugHook
 {
@@ -129,9 +130,9 @@ class DebugHook
     virtual ~DebugHook() = default;
 
     /**
-     * Sampled once at run() entry to select the hooked loop
-     * instantiation; return false while there is nothing to stop for
-     * and the plain (zero-overhead) loop may run.
+     * Sampled once at run() entry to select the reference loop;
+     * return false while there is nothing to stop for and the
+     * zero-overhead superblock backend may run.
      */
     virtual bool wantsStops() const = 0;
 
@@ -177,8 +178,8 @@ const char *trapKindName(TrapKind kind);
  * SramOutOfBounds/StackOverflow, the opcode word for
  * IllegalOpcode/FlashOutOfBounds, 1 for a back-to-back MacHazard.
  * The trapping instruction does not retire: PC, registers and
- * statistics are left as of just before it, identically on the
- * reference and fast paths.
+ * statistics are left as of just before it, identically on both
+ * backends.
  */
 struct Trap
 {
@@ -328,8 +329,9 @@ class Machine
      * This is the *reference* path: it re-fetches and re-decodes the
      * flash words on every call and evaluates the mode/trace/MAC
      * branches at run time. run() normally executes through the
-     * predecoded fast path instead and is validated against this
-     * implementation (tests/test_decode_cache.cc).
+     * superblock backend instead, which is validated against this
+     * implementation (tests/test_superblock.cc,
+     * tests/test_decode_cache.cc).
      */
     unsigned step();
 
@@ -338,11 +340,10 @@ class Machine
      * the consumed cycles plus the trap that stopped execution, if
      * any; a CycleBudget trap is raised once @p max_cycles cycles
      * have been consumed (>= semantics: consuming exactly the budget
-     * traps, identically on the fast and reference paths).
+     * traps, identically on both backends).
      *
-     * Dispatches to a mode-specialized predecoded loop unless trace
-     * or forceReference is set, which select the step()-based
-     * reference loop.
+     * Executes on the selected backend; observed runs (see
+     * IssBackend) take the step()-based reference loop.
      */
     RunResult run(uint64_t max_cycles = defaultCycleBudget);
 
@@ -378,7 +379,7 @@ class Machine
     uint16_t stackGuard() const { return stackGuardV; }
     void setStackGuard(uint16_t v) { stackGuardV = v; }
 
-    /** Predecoded view of flash word @p word_addr (fast-path source). */
+    /** Predecoded view of flash word @p word_addr (trace source). */
     const DecodedInst &decoded(uint32_t word_addr) const
     {
         return decodeCache[word_addr & (flashWords - 1)];
@@ -390,19 +391,21 @@ class Machine
     const MacUnit &mac() const { return macUnit; }
 
     /**
-     * Attach an execution observer (nullptr detaches). Both paths
-     * fire its events; with no sink attached the fast path carries
-     * zero profiling overhead (a separate loop instantiation). The
-     * sink must outlive the machine or detach before destruction.
+     * Attach an execution observer (nullptr detaches). An attached
+     * sink routes run() through the reference loop, which fires its
+     * events; with no sink attached the superblock backend carries
+     * zero profiling overhead. The sink must outlive the machine or
+     * detach before destruction.
      */
     void setProfiler(ProfileSink *sink);
     ProfileSink *profiler() const { return profSink; }
 
     /**
-     * Attach a fault injector (nullptr detaches). With no armed plan
-     * the fast path carries zero injection overhead (a separate loop
-     * instantiation, as for ProfileSink). The injector must outlive
-     * the machine or detach before destruction.
+     * Attach a fault injector (nullptr detaches). A pending plan
+     * routes run() through the reference loop, which polls the
+     * injector at every boundary; with no armed plan the superblock
+     * backend carries zero injection overhead. The injector must
+     * outlive the machine or detach before destruction.
      */
     void setFaultInjector(FaultInjector *inj) { faultInj = inj; }
     FaultInjector *faultInjector() const { return faultInj; }
@@ -411,11 +414,11 @@ class Machine
      * Attach a debug hook (nullptr detaches). wantsStops() is
      * re-sampled at every run() entry, so a hook may flip between
      * active and passive without re-attaching; while it answers
-     * false the plain (zero-overhead) fast-path instantiation runs
-     * and only step()/runReference consult the hook. The hook must
-     * outlive the machine or detach before destruction. When both a
-     * debug hook and a pending FaultInjector are attached, the fast
-     * path honours the debug hook (the reference path honours both).
+     * false the zero-overhead superblock backend runs and only
+     * step()/runReference consult the hook. The hook must outlive
+     * the machine or detach before destruction. A debug hook and a
+     * pending FaultInjector attached together both fire: either one
+     * selects the reference loop, which honours both.
      */
     void setDebugHook(DebugHook *hook) { dbgHook = hook; }
     DebugHook *debugHook() const { return dbgHook; }
@@ -424,7 +427,7 @@ class Machine
      * Attach a waveform sink (nullptr detaches). active() is sampled
      * at run() entry: true routes execution through the reference
      * loop (per-instruction architectural sampling), false leaves the
-     * zero-overhead fast path untouched — see WaveSink.
+     * zero-overhead superblock backend untouched — see WaveSink.
      */
     void setWaveSink(WaveSink *sink) { waveSnk = sink; }
     WaveSink *waveSink() const { return waveSnk; }
@@ -436,7 +439,7 @@ class Machine
      * observe the same run. Identical contract to setWaveSink():
      * active() is sampled at run() entry, an active sink routes
      * through the reference loop, an idle one costs exactly zero
-     * cycles on every fast-path/superblock instantiation (pinned by
+     * cycles on either backend (pinned by
      * tests/test_leakage.cc).
      */
     void setLeakSink(WaveSink *sink) { leakSnk = sink; }
@@ -483,19 +486,18 @@ class Machine
     bool trace = false;
 
     /**
-     * Force run()/call() onto the per-step decode reference path
-     * (benchmark baseline; also settable via JAAVR_ISS_REFERENCE=1
-     * in the environment).
+     * Always false. The former force-reference flag is now
+     * setBackend(IssBackend::Reference); the constant remains only
+     * because the benchmark harness (perfbench/) still reads it.
      */
-    bool forceReference;
+    static constexpr bool forceReference = false;
 
     /**
      * Execution backend for run()/call() (default Superblock unless
-     * overridden by JAAVR_ISS_BACKEND or JAAVR_ISS_REFERENCE in the
-     * environment). The backend only selects among *legal* loops:
-     * tracing, wave sinks, profilers, debug hooks and pending faults
-     * force the reference/specialized paths regardless, so attaching
-     * an observer never changes observed architectural state.
+     * overridden by JAAVR_ISS_BACKEND in the environment). Observed
+     * runs take the reference loop on either backend (see
+     * IssBackend), so attaching an observer never changes observed
+     * architectural state.
      */
     IssBackend backend() const { return backendV; }
     void setBackend(IssBackend b) { backendV = b; }
@@ -541,29 +543,12 @@ class Machine
     bool applyBoundaryFault();
 
     /**
-     * Predecoded, mode-specialized run loop (the fast path). The
-     * @p Profiled instantiation fires ProfileSink events, the
-     * @p Faulted one polls the armed FaultInjector per instruction,
-     * the @p Debugged one consults the DebugHook at every boundary
-     * and data access; the plain instantiation compiles all hooks
-     * out. Faulted and Debugged are never instantiated together.
-     */
-    template <bool Ise, bool Profiled, bool Faulted, bool Debugged>
-    void runFast(uint64_t max_cycles);
-
-    /**
-     * Plain (no-hook) fast-path dispatch by mode; the side-exit
-     * target of the superblock backend (superblock.cc cannot see the
-     * runFast template definition).
-     */
-    void runFastPlain(uint64_t max_cycles);
-
-    /**
      * Superblock-threaded run loop (superblock.cc): translated
      * traces over the decode cache, executed via computed-goto
      * threaded dispatch with block-level statistics accumulation.
-     * Falls back to runFastPlain() on side exits (traps, MAC-shadow
-     * activity, budget-critical blocks); see DESIGN.md §11.
+     * MAC shadows pending at block entry drain through step(), and
+     * budget-critical blocks hand over to runReference(); see
+     * DESIGN.md §11.
      */
     void runSuperblock(uint64_t max_cycles);
 

@@ -5,11 +5,10 @@
  * A ProfileSink attached to a Machine receives call/return events
  * (CALL/RCALL/ICALL and RET/RETI, plus the synthetic top-level call
  * issued by Machine::call) and — when it asks for them — one event
- * per retired instruction. Both execution paths fire the events: the
- * step() reference path checks the sink pointer per instruction,
- * while the predecoded fast path compiles a separate profiled loop
- * instantiation so the unprofiled loop carries zero overhead
- * (verified by bench_iss_throughput).
+ * per retired instruction. An attached sink routes Machine::run()
+ * through the step() reference path, which fires the events per
+ * instruction, so the unprofiled superblock backend carries zero
+ * overhead.
  *
  * Two sinks are provided:
  *  - TraceSink: per-instruction disassembly lines in the classic
@@ -21,11 +20,9 @@
  *    structured export (text report, JSON-lines records, Chrome
  *    `chrome://tracing` JSON).
  *
- * Sinks are read-only observers: they must not mutate the machine.
- * During the fast path the machine's register file, SREG, PC and
- * ExecStats members are batched in loop locals, so sinks must rely
- * on the event arguments (and Machine::sp(), which is always
- * current) rather than on those members.
+ * Sinks are read-only observers: they must not mutate the machine,
+ * and should rely on the event arguments (and Machine::sp()) rather
+ * than on the machine's other members.
  */
 
 #ifndef JAAVR_AVR_PROFILER_HH

@@ -3,37 +3,50 @@
  * Superblock translation and the trace-threaded run loop
  * (DESIGN.md §11).
  *
- * Machine::runSuperblock() mirrors the plain runFast<> instantiation
- * instruction for instruction — the semantics of every handler below
- * are copied from the corresponding runFast case, and
- * tests/test_superblock.cc pins the two (and step()) to bit- and
- * cycle-identical state over all 65536 opcode words and the OPF
- * workloads. What changes is the execution structure:
+ * Machine::runSuperblock() is the fast ISS path in every CPU mode:
+ * its handlers implement the semantics of Machine::step() instruction
+ * for instruction, and tests/test_superblock.cc pins the two to bit-
+ * and cycle-identical state over all 65536 opcode words (CA, FAST and
+ * ISE under every MACCR mode, with and without a MAC shadow pending
+ * at entry) and the OPF/secp160 workloads. What changes is the
+ * execution structure:
  *
  *  - dispatch is computed-goto threaded over pre-translated traces
- *    (SbInst carries the handler label and pre-extracted operands),
- *    falling back to a switch on non-GNU compilers;
- *  - statistics accumulate block-at-a-time: per-exit cycle prefixes
- *    replace the per-instruction `consumed/insts` updates, and the
- *    cycle budget is pre-checked against the block's worst case so
- *    the hot path carries no per-instruction budget test;
+ *    (SbInst carries the handler label and pre-extracted operands);
+ *  - statistics accumulate block-at-a-time: per-exit cycle and
+ *    instruction prefixes replace the per-instruction updates, and
+ *    the cycle budget is pre-checked against the block's worst case
+ *    so the hot path carries no per-instruction budget test;
  *  - the PC is not materialized between instructions at all — only
- *    exits compute it, from translate-time constants.
+ *    exits compute it, from translate-time constants;
+ *  - the MAC unit's behaviour is fixed per trace: MACCR's mode bits
+ *    cannot change without an I/O store, so the Algorithm-1 SWAP and
+ *    Algorithm-2 R24-load triggers, the two-cycle shadow after a
+ *    trigger, the shadow hazard checks and the stall-NOP accounting
+ *    are all decided at translate time.
  *
- * Side-exit contract (everything here funnels back to the fast
- * path / reference loop, never the other way around):
+ * Side-exit contract:
  *  - traps: the trapping instruction does not retire; the exit
- *    charges the retired prefix and publishes the trap exactly as
- *    runFast does;
- *  - MAC activity: the backend only executes while MACCR == 0 and no
- *    shadow micro-ops are pending (checked at every block entry); a
- *    store that turns the MAC unit on side-exits after retiring and
- *    the rest of the run executes in runFastPlain();
- *  - budget-critical blocks delegate to runFastPlain(), which places
- *    the CycleBudget trap with per-instruction precision;
- *  - attached observers (profiler, debug hook, wave sink, fault
- *    injector, tracing) are handled one level up: Machine::run()
- *    never selects this backend while any of them is live.
+ *    charges the retired prefix, leaves the MAC shadow as it was
+ *    before the instruction and publishes the trap exactly as step()
+ *    does;
+ *  - MAC hazards: a trace ends just before an element that would
+ *    touch {R0..R8, R16..R19} (or retrigger too early) inside a
+ *    shadow. Block entry never runs a trace with a shadow pending:
+ *    it retires instructions through step() until the shadow is
+ *    drained, so step() raises the MacHazard trap with its own pc
+ *    and detail;
+ *  - MACCR: in ISE a store into I/O space (which may change the MAC
+ *    mode bits) side-exits after it retires, and the next block is
+ *    looked up under the current mode;
+ *  - every exit writes back the exact MacUnit::pendingShadow(),
+ *    including the extra cycle of a taken branch or skip;
+ *  - budget-critical blocks hand the rest of the run to
+ *    runReference(), which places the CycleBudget trap with
+ *    per-instruction precision;
+ *  - attached observers (profiler, debug hook that wants stops,
+ *    active wave/leak sink, pending fault, tracing) are handled one
+ *    level up: Machine::run() sends those runs to the reference loop.
  */
 
 #include "avr/superblock.hh"
@@ -44,18 +57,44 @@
 #include "avr/mac_unit.hh"
 #include "avr/machine.hh"
 #include "avr/timing.hh"
-#include "support/logging.hh"
-
-// Computed-goto threading needs the GNU labels-as-values extension;
-// define JAAVR_SB_NO_THREADED to force the portable switch dispatch
-// (exercised by tests to keep both paths honest).
-#if !defined(JAAVR_SB_NO_THREADED) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define JAAVR_SB_THREADED 1
-#endif
 
 namespace jaavr
 {
+
+namespace
+{
+
+/** MACCR bits that select the MAC trigger algorithms. */
+constexpr uint8_t kMacModeBits =
+    MacUnit::ctrlSwapMode | MacUnit::ctrlLoadMode;
+
+/**
+ * Alg. 2 trigger in load mode: step() fires it on every data-space
+ * load into R24, while only the DecodedInst::macLoadForm subset is
+ * exempt from the shadow hazard rule.
+ */
+bool
+loadsR24(const Inst &inst)
+{
+    switch (inst.op) {
+      case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC:
+      case Op::LDD_Y: case Op::LD_Y_INC: case Op::LD_Y_DEC:
+      case Op::LDD_Z: case Op::LD_Z_INC: case Op::LD_Z_DEC:
+      case Op::LDS:
+        return inst.rd == 24;
+      default:
+        return false;
+    }
+}
+
+/** MAC shadow left after an element with shadow @p s retires in @p c. */
+constexpr uint8_t
+shadowAfter(uint8_t s, unsigned c)
+{
+    return s > c ? static_cast<uint8_t>(s - c) : 0;
+}
+
+} // anonymous namespace
 
 SuperblockCache::SuperblockCache()
     : table(Machine::flashWords, nullptr)
@@ -65,12 +104,15 @@ SuperblockCache::SuperblockCache()
 void
 SuperblockCache::invalidateAll()
 {
-    std::fill(table.begin(), table.end(), nullptr);
+    // Clear only the slots in use: loaders and fault campaigns
+    // invalidate far more often than the 64K-entry table fills.
+    for (const auto &b : blocks)
+        table[b->entry] = nullptr;
     blocks.clear();
 }
 
 SbBlock *
-SuperblockCache::translate(const Machine &m, uint32_t entry,
+SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t mode,
                            void *const *labels)
 {
     // A runaway working set (e.g. a fault campaign re-corrupting
@@ -82,190 +124,184 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
     auto owned = std::make_unique<SbBlock>();
     SbBlock *blk = owned.get();
     blk->entry = entry & 0xffff;
+    blk->mode = mode;
+    const bool load_mac = mode & MacUnit::ctrlLoadMode;
+    const bool swap_mac = mode & MacUnit::ctrlSwapMode;
 
     std::unordered_set<uint32_t> visited;
     uint32_t pc = blk->entry;
-    uint32_t total = 0; // base cycles of the retiring prefix
-    bool open = true;
+    uint32_t total = 0;    // base cycles of the retiring prefix
+    uint16_t retired = 0;  // retiring elements so far
+    uint8_t shadow = 0;    // MAC shadow before the next element
 
     auto emit = [&](SbOp h, SbInst &si) {
-        si.h = static_cast<uint8_t>(h);
-        si.lbl = labels ? labels[static_cast<size_t>(h)] : nullptr;
+        si.lbl = labels[static_cast<size_t>(h)];
+        si.prefixCycles = total;
+        si.prefixInsts = retired;
+        si.shadow = shadow;
         blk->code.push_back(si);
     };
 
-    while (open) {
+    for (;;) {
+        const DecodedInst &dc = m.decoded(pc);
+        const Inst &inst = dc.inst;
+        // Alg. 2: an R24 load in load mode triggers two MACs. The
+        // reference hazard rule, evaluated on the static shadow.
+        const bool r24_trigger = load_mac && loadsR24(inst);
+        const bool r24_exempt = load_mac && dc.macLoadForm;
+        const bool hazard = (shadow > 0 && dc.touchesMac && !r24_exempt) ||
+                            (shadow >= 2 && r24_exempt);
+        SbInst si;
+        si.pc = pc;
         if (pc == Machine::exitAddress || blk->code.size() >= kMaxInsts ||
-            !visited.insert(pc).second) {
-            // Exit sentinel, length cap, or a loop back-edge: close
-            // the trace with a non-retiring continuation.
-            SbInst si;
-            si.pc = pc;
-            si.prefixCycles = total;
+            !visited.insert(pc).second || hazard) {
+            // Exit sentinel, length cap, loop back-edge, or an element
+            // the MAC shadow forbids: close the trace with a
+            // non-retiring continuation. A hazard is then raised by
+            // step() while block entry drains the shadow.
             emit(SbOp::EXIT_STATIC, si);
             break;
         }
-        const DecodedInst &dc = m.decoded(pc);
-        const Inst &inst = dc.inst;
-        SbInst si;
-        si.pc = pc;
+        if (inst.op == Op::INVALID) {
+            // Non-retiring: the handler re-reads the flash word to
+            // discriminate FlashOutOfBounds from IllegalOpcode.
+            emit(SbOp::EXIT_TRAP, si);
+            break;
+        }
         si.op = static_cast<uint8_t>(inst.op);
         si.a = inst.rd;
         si.b = inst.rr;
         si.imm = inst.imm;
         si.cycles = dc.cycles;
-        si.prefixCycles = total;
-        const uint32_t next = (pc + inst.words) & 0xffff;
-
-        // Fall-through emission: the element retires and the trace
-        // continues at the static successor.
-        auto simple = [&](SbOp h) {
-            emit(h, si);
-            total += dc.cycles;
-            pc = next;
-        };
+        // Where translation continues after this element retires.
+        uint32_t next = (pc + inst.words) & 0xffff;
+        bool terminal = false;
         // Skip instructions: the taken leg's target and extra cycles
         // depend only on the skipped word's length, which the decode
         // cache knows; flash writes invalidate the whole cache, so
         // baking it in is safe.
-        auto skip = [&](SbOp h) {
+        auto skip = [&] {
             bool two = m.decoded(next).inst.words == 2;
             si.extra = static_cast<uint8_t>(skipExtra(two));
             si.target = (next + (two ? 2u : 1u)) & 0xffff;
-            simple(h);
-        };
-        // Terminal: the element retires, then the exit handler
-        // computes the continuation.
-        auto terminal = [&](SbOp h) {
-            emit(h, si);
-            total += dc.cycles;
-            open = false;
         };
 
+        SbOp h = SbOp::NOPLIKE;
         switch (inst.op) {
           // Canonicalized synonym encodings get specialized
-          // single-operand handlers (satellite: decode
-          // canonicalization; see Synonym in avr/isa.hh).
+          // single-operand handlers (see Synonym in avr/isa.hh).
           case Op::ADD:
-            simple(dc.synonym == Synonym::LSL ? SbOp::LSL : SbOp::ADD);
+            h = dc.synonym == Synonym::LSL ? SbOp::LSL : SbOp::ADD;
             break;
           case Op::ADC:
-            simple(dc.synonym == Synonym::ROL ? SbOp::ROL : SbOp::ADC);
+            h = dc.synonym == Synonym::ROL ? SbOp::ROL : SbOp::ADC;
             break;
           case Op::AND:
-            simple(dc.synonym == Synonym::TST ? SbOp::TST : SbOp::AND);
+            h = dc.synonym == Synonym::TST ? SbOp::TST : SbOp::AND;
             break;
           case Op::EOR:
-            simple(dc.synonym == Synonym::CLR ? SbOp::CLR : SbOp::EOR);
+            h = dc.synonym == Synonym::CLR ? SbOp::CLR : SbOp::EOR;
             break;
-          case Op::SUB: simple(SbOp::SUB); break;
-          case Op::SBC: simple(SbOp::SBC); break;
-          case Op::OR: simple(SbOp::OR); break;
-          case Op::MOV: simple(SbOp::MOV); break;
-          case Op::CP: simple(SbOp::CP); break;
-          case Op::CPC: simple(SbOp::CPC); break;
-          case Op::MUL: simple(SbOp::MUL); break;
-          case Op::MULS: simple(SbOp::MULS); break;
-          case Op::MULSU: simple(SbOp::MULSU); break;
-          case Op::FMUL: simple(SbOp::FMUL); break;
-          case Op::FMULS: simple(SbOp::FMULS); break;
-          case Op::FMULSU: simple(SbOp::FMULSU); break;
-          case Op::MOVW: simple(SbOp::MOVW); break;
-          case Op::SUBI: simple(SbOp::SUBI); break;
-          case Op::SBCI: simple(SbOp::SBCI); break;
-          case Op::ANDI: simple(SbOp::ANDI); break;
-          case Op::ORI: simple(SbOp::ORI); break;
-          case Op::CPI: simple(SbOp::CPI); break;
-          case Op::LDI: simple(SbOp::LDI); break;
-          case Op::ADIW: simple(SbOp::ADIW); break;
-          case Op::SBIW: simple(SbOp::SBIW); break;
-          case Op::COM: simple(SbOp::COM); break;
-          case Op::NEG: simple(SbOp::NEG); break;
-          case Op::SWAP: simple(SbOp::SWAP); break;
-          case Op::INC: simple(SbOp::INC); break;
-          case Op::DEC: simple(SbOp::DEC); break;
-          case Op::ASR: simple(SbOp::ASR); break;
-          case Op::LSR: simple(SbOp::LSR); break;
-          case Op::ROR: simple(SbOp::ROR); break;
-          case Op::BSET:
-            si.a = inst.bit;
-            simple(SbOp::BSET);
+          case Op::SUB: h = SbOp::SUB; break;
+          case Op::SBC: h = SbOp::SBC; break;
+          case Op::OR: h = SbOp::OR; break;
+          case Op::MOV: h = SbOp::MOV; break;
+          case Op::CP: h = SbOp::CP; break;
+          case Op::CPC: h = SbOp::CPC; break;
+          case Op::MUL: h = SbOp::MUL; break;
+          case Op::MULS: h = SbOp::MULS; break;
+          case Op::MULSU: h = SbOp::MULSU; break;
+          case Op::FMUL: h = SbOp::FMUL; break;
+          case Op::FMULS: h = SbOp::FMULS; break;
+          case Op::FMULSU: h = SbOp::FMULSU; break;
+          case Op::MOVW: h = SbOp::MOVW; break;
+          case Op::SUBI: h = SbOp::SUBI; break;
+          case Op::SBCI: h = SbOp::SBCI; break;
+          case Op::ANDI: h = SbOp::ANDI; break;
+          case Op::ORI: h = SbOp::ORI; break;
+          case Op::CPI: h = SbOp::CPI; break;
+          case Op::LDI: h = SbOp::LDI; break;
+          case Op::ADIW: h = SbOp::ADIW; break;
+          case Op::SBIW: h = SbOp::SBIW; break;
+          case Op::COM: h = SbOp::COM; break;
+          case Op::NEG: h = SbOp::NEG; break;
+          case Op::SWAP:
+            // Alg. 1: in swap mode every SWAP feeds its low nibble
+            // through the MAC.
+            h = swap_mac ? SbOp::SWAP_MAC : SbOp::SWAP;
             break;
-          case Op::BCLR:
-            si.a = inst.bit;
-            simple(SbOp::BCLR);
-            break;
-          case Op::BLD:
-            si.b = inst.bit;
-            simple(SbOp::BLD);
-            break;
-          case Op::BST:
-            si.b = inst.bit;
-            simple(SbOp::BST);
-            break;
-          case Op::SBI:
-            si.b = inst.bit;
-            simple(SbOp::SBI);
-            break;
-          case Op::CBI:
-            si.b = inst.bit;
-            simple(SbOp::CBI);
-            break;
+          case Op::INC: h = SbOp::INC; break;
+          case Op::DEC: h = SbOp::DEC; break;
+          case Op::ASR: h = SbOp::ASR; break;
+          case Op::LSR: h = SbOp::LSR; break;
+          case Op::ROR: h = SbOp::ROR; break;
+          case Op::BSET: si.a = inst.bit; h = SbOp::BSET; break;
+          case Op::BCLR: si.a = inst.bit; h = SbOp::BCLR; break;
+          case Op::BLD: si.b = inst.bit; h = SbOp::BLD; break;
+          case Op::BST: si.b = inst.bit; h = SbOp::BST; break;
+          case Op::SBI: si.b = inst.bit; h = SbOp::SBI; break;
+          case Op::CBI: si.b = inst.bit; h = SbOp::CBI; break;
           case Op::SBIC:
             si.b = inst.bit;
-            skip(SbOp::SKIP_SBIC);
+            skip();
+            h = SbOp::SKIP_SBIC;
             break;
           case Op::SBIS:
             si.b = inst.bit;
-            skip(SbOp::SKIP_SBIS);
+            skip();
+            h = SbOp::SKIP_SBIS;
             break;
-          case Op::IN: simple(SbOp::IN); break;
-          case Op::OUT: simple(SbOp::OUT); break;
-          case Op::LD_X: simple(SbOp::LD_X); break;
-          case Op::LD_X_INC: simple(SbOp::LD_X_INC); break;
-          case Op::LD_X_DEC: simple(SbOp::LD_X_DEC); break;
+          case Op::IN: h = SbOp::IN; break;
+          case Op::OUT: h = SbOp::OUT; break;
+          case Op::LD_X: h = SbOp::LD_X; break;
+          case Op::LD_X_INC: h = SbOp::LD_X_INC; break;
+          case Op::LD_X_DEC: h = SbOp::LD_X_DEC; break;
           case Op::LDD_Y:
             si.imm = static_cast<uint16_t>(inst.disp);
-            simple(SbOp::LDD_Y);
+            h = SbOp::LDD_Y;
             break;
-          case Op::LD_Y_INC: simple(SbOp::LD_Y_INC); break;
-          case Op::LD_Y_DEC: simple(SbOp::LD_Y_DEC); break;
+          case Op::LD_Y_INC: h = SbOp::LD_Y_INC; break;
+          case Op::LD_Y_DEC: h = SbOp::LD_Y_DEC; break;
           case Op::LDD_Z:
             si.imm = static_cast<uint16_t>(inst.disp);
-            simple(SbOp::LDD_Z);
+            h = SbOp::LDD_Z;
             break;
-          case Op::LD_Z_INC: simple(SbOp::LD_Z_INC); break;
-          case Op::LD_Z_DEC: simple(SbOp::LD_Z_DEC); break;
+          case Op::LD_Z_INC: h = SbOp::LD_Z_INC; break;
+          case Op::LD_Z_DEC: h = SbOp::LD_Z_DEC; break;
           case Op::LDS:
             si.addr = static_cast<uint16_t>(inst.k);
-            simple(SbOp::LDS);
+            h = SbOp::LDS;
             break;
-          case Op::ST_X: simple(SbOp::ST_X); break;
-          case Op::ST_X_INC: simple(SbOp::ST_X_INC); break;
-          case Op::ST_X_DEC: simple(SbOp::ST_X_DEC); break;
+          case Op::ST_X: h = SbOp::ST_X; break;
+          case Op::ST_X_INC: h = SbOp::ST_X_INC; break;
+          case Op::ST_X_DEC: h = SbOp::ST_X_DEC; break;
           case Op::STD_Y:
             si.imm = static_cast<uint16_t>(inst.disp);
-            simple(SbOp::STD_Y);
+            h = SbOp::STD_Y;
             break;
-          case Op::ST_Y_INC: simple(SbOp::ST_Y_INC); break;
-          case Op::ST_Y_DEC: simple(SbOp::ST_Y_DEC); break;
+          case Op::ST_Y_INC: h = SbOp::ST_Y_INC; break;
+          case Op::ST_Y_DEC: h = SbOp::ST_Y_DEC; break;
           case Op::STD_Z:
             si.imm = static_cast<uint16_t>(inst.disp);
-            simple(SbOp::STD_Z);
+            h = SbOp::STD_Z;
             break;
-          case Op::ST_Z_INC: simple(SbOp::ST_Z_INC); break;
-          case Op::ST_Z_DEC: simple(SbOp::ST_Z_DEC); break;
+          case Op::ST_Z_INC: h = SbOp::ST_Z_INC; break;
+          case Op::ST_Z_DEC: h = SbOp::ST_Z_DEC; break;
           case Op::STS:
             si.addr = static_cast<uint16_t>(inst.k);
-            simple(SbOp::STS);
+            h = SbOp::STS;
             break;
-          case Op::PUSH: simple(SbOp::PUSH); break;
-          case Op::POP: simple(SbOp::POP); break;
-          case Op::LPM_R0: simple(SbOp::LPM_R0); break;
-          case Op::LPM: simple(SbOp::LPM); break;
-          case Op::LPM_INC: simple(SbOp::LPM_INC); break;
-          case Op::NOP: case Op::SLEEP: case Op::WDR: case Op::BREAK:
-            simple(SbOp::NOPLIKE);
+          case Op::PUSH: h = SbOp::PUSH; break;
+          case Op::POP: h = SbOp::POP; break;
+          case Op::LPM_R0: h = SbOp::LPM_R0; break;
+          case Op::LPM: h = SbOp::LPM; break;
+          case Op::LPM_INC: h = SbOp::LPM_INC; break;
+          case Op::NOP:
+            // A NOP retired inside a MAC shadow is a hazard stall.
+            h = shadow > 0 ? SbOp::STALL_NOP : SbOp::NOPLIKE;
+            break;
+          case Op::SLEEP: case Op::WDR: case Op::BREAK:
+            h = SbOp::NOPLIKE;
             break;
 
           // Direct jumps stitch: the transfer retires as a "ghost"
@@ -273,66 +309,74 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
           // and translation continues at the target. Revisits and
           // the length cap close the trace at the loop top.
           case Op::RJMP:
-            emit(SbOp::GHOST, si);
-            total += dc.cycles;
-            pc = (pc + 1 + inst.disp) & 0xffff;
+            h = SbOp::GHOST;
+            next = (pc + 1 + inst.disp) & 0xffff;
             break;
           case Op::JMP:
-            emit(SbOp::GHOST, si);
-            total += dc.cycles;
-            pc = inst.k & 0xffff;
+            h = SbOp::GHOST;
+            next = inst.k & 0xffff;
             break;
           // Direct calls stitch through into the callee; only the
           // return-address push happens at run time.
           case Op::RCALL:
-            si.addr = static_cast<uint16_t>((pc + 1) & 0xffff);
-            emit(SbOp::CALL_THROUGH, si);
-            total += dc.cycles;
-            pc = (pc + 1 + inst.disp) & 0xffff;
+            si.addr = static_cast<uint16_t>(next);
+            h = SbOp::CALL_THROUGH;
+            next = (pc + 1 + inst.disp) & 0xffff;
             break;
           case Op::CALL:
-            si.addr = static_cast<uint16_t>((pc + 2) & 0xffff);
-            emit(SbOp::CALL_THROUGH, si);
-            total += dc.cycles;
-            pc = inst.k & 0xffff;
+            si.addr = static_cast<uint16_t>(next);
+            h = SbOp::CALL_THROUGH;
+            next = inst.k & 0xffff;
             break;
 
-          case Op::BRBS:
+          case Op::BRBS: case Op::BRBC:
             si.a = inst.bit;
             si.target = (pc + 1 + inst.disp) & 0xffff;
-            simple(SbOp::BRBS);
+            h = inst.op == Op::BRBS ? SbOp::BRBS : SbOp::BRBC;
             break;
-          case Op::BRBC:
-            si.a = inst.bit;
-            si.target = (pc + 1 + inst.disp) & 0xffff;
-            simple(SbOp::BRBC);
+          case Op::CPSE:
+            skip();
+            h = SbOp::SKIP_CPSE;
             break;
-          case Op::CPSE: skip(SbOp::SKIP_CPSE); break;
           case Op::SBRC:
             si.b = inst.bit;
-            skip(SbOp::SKIP_SBRC);
+            skip();
+            h = SbOp::SKIP_SBRC;
             break;
           case Op::SBRS:
             si.b = inst.bit;
-            skip(SbOp::SKIP_SBRS);
+            skip();
+            h = SbOp::SKIP_SBRS;
             break;
 
-          // Indirect control flow terminates the trace.
-          case Op::RET: terminal(SbOp::EXIT_RET); break;
-          case Op::RETI: terminal(SbOp::EXIT_RETI); break;
-          case Op::IJMP: terminal(SbOp::EXIT_IJMP); break;
+          // Indirect control flow retires, then ends the trace.
+          case Op::RET: h = SbOp::EXIT_RET; terminal = true; break;
+          case Op::RETI: h = SbOp::EXIT_RETI; terminal = true; break;
+          case Op::IJMP: h = SbOp::EXIT_IJMP; terminal = true; break;
           case Op::ICALL:
-            si.addr = static_cast<uint16_t>((pc + 1) & 0xffff);
-            terminal(SbOp::EXIT_ICALL);
+            si.addr = static_cast<uint16_t>(next);
+            h = SbOp::EXIT_ICALL;
+            terminal = true;
             break;
 
           case Op::INVALID:
-            // Non-retiring: the handler re-reads the flash word to
-            // discriminate FlashOutOfBounds from IllegalOpcode at
-            // run time, exactly like the fast path.
-            emit(SbOp::EXIT_TRAP, si);
-            open = false;
+            break;  // handled above
+        }
+
+        emit(h, si);
+        total += dc.cycles;
+        retired++;
+        shadow = r24_trigger ? 2 : shadowAfter(shadow, dc.cycles);
+        if (terminal)
             break;
+        pc = next;
+        if (r24_trigger) {
+            // The two micro-MACs apply right after the load, on the
+            // loaded R24 (as step() does); the element does not
+            // retire and carries the fresh two-cycle shadow.
+            SbInst mac;
+            mac.pc = pc;
+            emit(SbOp::MAC_LOAD, mac);
         }
     }
 
@@ -340,6 +384,7 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
     // the largest single taken-branch/skip extra (an exit leaves the
     // trace, so at most one extra applies per pass).
     blk->maxCycles = total + 2;
+    blk->sibling = table[blk->entry];
     table[blk->entry] = blk;
     blocks.push_back(std::move(owned));
     return blk;
@@ -347,10 +392,11 @@ SuperblockCache::translate(const Machine &m, uint32_t entry,
 
 /**
  * The superblock-threaded run loop. Hot state (SREG, the register
- * file, the statistics accumulators) lives in locals exactly as in
- * runFast — byte stores into the simulated SRAM may alias any member
- * through the uint8_t*, so member accesses cannot be cached across
- * them by the compiler — and is flushed on every exit.
+ * file, the statistics accumulators) lives in locals — byte stores
+ * into the simulated SRAM may alias any member through the uint8_t*,
+ * so member accesses cannot be cached across them by the compiler —
+ * and is flushed on every exit. The MAC shadow changes only at block
+ * exits, so it stays in macUnit.
  */
 void
 Machine::runSuperblock(uint64_t max_cycles)
@@ -358,20 +404,16 @@ Machine::runSuperblock(uint64_t max_cycles)
     if (!sbCache)
         sbCache = std::make_unique<SuperblockCache>();
 
-#ifdef JAAVR_SB_THREADED
-    // Labels-as-values dispatch table, indexed by SbOp in declaration
-    // order (the same X-macro builds both, so they cannot skew).
-    static void *const label_tab[kNumSbOps] = {
+    // Labels-as-values dispatch table (a GNU extension, which the
+    // tree already depends on elsewhere, e.g. unsigned __int128 in
+    // src/field/), indexed by SbOp in declaration order (the same
+    // X-macro builds both, so they cannot skew).
+    static void *const labels[kNumSbOps] = {
 #define X(n) &&lbl_##n,
         JAAVR_SB_OPS(X)
 #undef X
     };
-    void *const *const labels = label_tab;
 #define SB_NEXT() goto *ip->lbl
-#else
-    void *const *const labels = nullptr;
-#define SB_NEXT() goto sb_dispatch
-#endif
 
     uint64_t consumed = 0;
     uint64_t insts = 0;
@@ -384,7 +426,7 @@ Machine::runSuperblock(uint64_t max_cycles)
     TrapKind trap_kind = TrapKind::None;
     uint16_t trap_addr = 0;
     // Set by a slow-path (I/O space) store; rechecked at retirement
-    // so a store that enables the MAC unit side-exits the trace.
+    // so a store that may have changed MACCR side-exits the trace.
     bool io_dirty = false;
 
     uint8_t sreg = sregBits;
@@ -405,8 +447,7 @@ Machine::runSuperblock(uint64_t max_cycles)
     };
 
     // Delta-based so the periodic flush cannot double-count; per-op
-    // cycle totals are reconstructed as op_count * base + op_extra
-    // (the same invariant runFast maintains).
+    // cycle totals are reconstructed as op_count * base + op_extra.
     uint64_t flushed_insts = 0;
     uint64_t flushed_cycles = 0;
     auto flush = [&] {
@@ -428,9 +469,8 @@ Machine::runSuperblock(uint64_t max_cycles)
         op_extra.fill(0);
     };
 
-    // Guarded data-space access, copied from runFast (no debug hooks
-    // here, and no MAC shadow tracking: the backend never runs while
-    // the MAC unit is live). The register/IO fallback syncs the local
+    // Guarded data-space access, mirroring step()'s ldG/stG/pushG (no
+    // debug hooks here). The register/IO fallback syncs the local
     // SREG around readData/writeData, which can touch SREG at 0x5f.
     auto loadMem = [&](uint16_t a) -> uint8_t {
         if (a >= sramBase) [[likely]] {
@@ -507,12 +547,34 @@ Machine::runSuperblock(uint64_t max_cycles)
     };
 
     const SbInst *ip = nullptr;
-    const SbInst *code0 = nullptr;
+
+// Exit accounting from the element's translate-time prefixes:
+// SB_LEAVE when it retires (a taken branch or skip adds `extra`
+// cycles), SB_STAY when it does not. Macros, not lambdas: with
+// lambdas GCC keeps SREG in memory across the handlers.
+#define SB_LEAVE(extra)                                                 \
+    do {                                                                \
+        consumed += ip->prefixCycles + ip->cycles + (extra);            \
+        insts += ip->prefixInsts + 1u;                                  \
+        macUnit.setPendingShadow(                                       \
+            shadowAfter(ip->shadow, ip->cycles + (extra)));             \
+    } while (0)
+#define SB_STAY()                                                       \
+    do {                                                                \
+        consumed += ip->prefixCycles;                                   \
+        insts += ip->prefixInsts;                                       \
+        macUnit.setPendingShadow(ip->shadow);                           \
+        pc = ip->pc;                                                    \
+    } while (0)
 
 // Retirement tails. Plain ALU work cannot trap; memory handlers
 // check the trap flag (the trapping instruction must not retire);
-// store handlers additionally side-exit when a slow-path store may
-// have enabled the MAC unit mid-trace.
+// store handlers additionally side-exit after a slow-path store in
+// ISE, which may have changed MACCR's mode bits mid-trace: the store
+// retires and the trace stops at its successor ip[1] (translation puts
+// the static fall-through there), whose prefixes and shadow are
+// exactly the state after the store; the next block is looked up
+// under the current mode.
 #define SB_RETIRE()                                                     \
     do {                                                                \
         op_count[ip->op]++;                                             \
@@ -534,8 +596,10 @@ Machine::runSuperblock(uint64_t max_cycles)
         op_count[ip->op]++;                                             \
         if (io_dirty) [[unlikely]] {                                    \
             io_dirty = false;                                           \
-            if (ise && io[ioMaccr] != 0)                                \
-                goto maccr_side_exit;                                   \
+            if (ise) {                                                  \
+                ip++;                                                   \
+                goto lbl_EXIT_STATIC;                                   \
+            }                                                           \
         }                                                               \
         ip++;                                                           \
         SB_NEXT();                                                      \
@@ -546,46 +610,55 @@ Machine::runSuperblock(uint64_t max_cycles)
         flush();
         return;
     }
-    // Keep the 32-bit op_count entries from saturating (runFast
-    // flushes on the same period).
+    // Keep the 32-bit op_count entries from saturating.
     if (insts - flushed_insts >= 0x1000000) [[unlikely]]
         flush();
-    // ISE legality: traces assume no MAC activity. Pending shadow
-    // micro-ops or an enabled MACCR delegate the rest of the run to
-    // the fast path, which carries the full hazard machinery.
-    if (ise && (io[ioMaccr] != 0 || macUnit.pendingShadow() != 0)) {
+    if (macUnit.pendingShadow() != 0) [[unlikely]] {
+        // Traces are translated for an idle shadow at entry: retire
+        // the instructions still inside it through step(), which also
+        // raises any MAC hazard with the reference pc and detail.
         flush();
-        runFastPlain(max_cycles - consumed);
-        return;
+        const uint64_t cycles0 = execStats.cycles;
+        const uint64_t insts0 = execStats.instructions;
+        while (macUnit.pendingShadow() != 0 && pcWord != exitAddress) {
+            step();
+            if (pendingTrap)
+                return;
+            if (consumed + (execStats.cycles - cycles0) >= max_cycles) {
+                pendingTrap = Trap{TrapKind::CycleBudget, pcWord, 0};
+                return;
+            }
+        }
+        // step() accounted into execStats directly: advance the run
+        // totals and the flush marks together.
+        consumed += execStats.cycles - cycles0;
+        insts += execStats.instructions - insts0;
+        flushed_cycles = consumed;
+        flushed_insts = insts;
+        pc = pcWord;
+        sreg = sregBits;
+        r8 = regs;
+        goto next_block;
     }
     io_dirty = false;
     {
-        SbBlock *b = cache->lookup(pc);
+        const uint8_t mode = ise ? io[ioMaccr] & kMacModeBits : 0;
+        SbBlock *b = cache->lookup(pc, mode);
         if (!b) [[unlikely]]
-            b = cache->translate(*this, pc, labels);
-        // Budget pre-check: if this pass could cross the budget,
-        // delegate to the fast path for per-instruction precision.
-        // Passing it guarantees consumed stays below max_cycles for
-        // the whole pass, so handlers carry no budget test.
+            b = cache->translate(*this, pc, mode, labels);
+        // Budget pre-check: if this pass could cross the budget, hand
+        // the rest of the run to the reference loop for
+        // per-instruction precision. Passing it guarantees consumed
+        // stays below max_cycles for the whole pass, so handlers carry
+        // no budget test.
         if (consumed + b->maxCycles >= max_cycles) [[unlikely]] {
             flush();
-            runFastPlain(max_cycles - consumed);
+            runReference(max_cycles - consumed);
             return;
         }
-        code0 = b->code.data();
-        ip = code0;
+        ip = b->code.data();
     }
     SB_NEXT();
-
-#ifndef JAAVR_SB_THREADED
-  sb_dispatch:
-    switch (static_cast<SbOp>(ip->h)) {
-#define X(n) case SbOp::n: goto lbl_##n;
-        JAAVR_SB_OPS(X)
-#undef X
-    }
-    fatal("superblock: corrupt dispatch code %u", ip->h);
-#endif
 
   lbl_ADD: {
     uint8_t d = r8[ip->a], s = r8[ip->b];
@@ -804,9 +877,14 @@ Machine::runSuperblock(uint64_t max_cycles)
     SB_RETIRE();
   }
   lbl_SWAP: {
-    // No MAC swap trigger here: the backend never runs with MACCR
-    // enabled (checked at every block entry).
     uint8_t d = r8[ip->a];
+    r8[ip->a] = static_cast<uint8_t>((d << 4) | (d >> 4));
+    SB_RETIRE();
+  }
+  lbl_SWAP_MAC: {
+    // Alg. 1 trigger: the low nibble enters the MAC before the swap.
+    uint8_t d = r8[ip->a];
+    macUnit.macSwap(r8, d & 0x0f);
     r8[ip->a] = static_cast<uint8_t>((d << 4) | (d >> 4));
     SB_RETIRE();
   }
@@ -969,6 +1047,12 @@ Machine::runSuperblock(uint64_t max_cycles)
     r8[ip->a] = v;
     SB_RETIRE_MEM();
   }
+  lbl_MAC_LOAD: {
+    // Alg. 2 trigger after the R24 load just retired (non-retiring).
+    macUnit.macLoad(r8, r8[24]);
+    ip++;
+    SB_NEXT();
+  }
   lbl_ST_X: {
     storeMem(pair(26), r8[ip->a]);
     SB_RETIRE_STORE();
@@ -1052,8 +1136,12 @@ Machine::runSuperblock(uint64_t max_cycles)
     SB_RETIRE();
   }
   lbl_NOPLIKE: {
-    // NOP/SLEEP/WDR/BREAK. No MAC-stall accounting: the backend
-    // never executes with shadow micro-ops pending.
+    // NOP/SLEEP/WDR/BREAK outside a MAC shadow.
+    SB_RETIRE();
+  }
+  lbl_STALL_NOP: {
+    // A NOP inside a MAC shadow: a hazard stall.
+    execStats.macStallNops++;
     SB_RETIRE();
   }
   lbl_GHOST: {
@@ -1082,8 +1170,7 @@ Machine::runSuperblock(uint64_t max_cycles)
     if (trap_kind != TrapKind::None) [[unlikely]]
         goto trap_exit;
     op_count[ip->op]++;
-    consumed += ip->prefixCycles + ip->cycles;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
+    SB_LEAVE(0);
     pc = ret & 0xffff;
     goto next_block;
   }
@@ -1093,48 +1180,40 @@ Machine::runSuperblock(uint64_t max_cycles)
     if (trap_kind != TrapKind::None) [[unlikely]]
         goto trap_exit;
     op_count[ip->op]++;
-    consumed += ip->prefixCycles + ip->cycles;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
+    SB_LEAVE(0);
     pc = ret & 0xffff;
     goto next_block;
   }
   lbl_EXIT_IJMP: {
     op_count[ip->op]++;
-    consumed += ip->prefixCycles + ip->cycles;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
+    SB_LEAVE(0);
     pc = pair(30);
     goto next_block;
   }
   lbl_EXIT_ICALL: {
     // Push first, then read Z: a push that lands in the register
     // file (SP below 0x20) must be visible to the target read,
-    // exactly as on the reference path.
+    // exactly as on the reference path. A push into I/O space that
+    // changed MACCR is picked up by the mode lookup at next_block.
     pushRet(ip->addr);
     if (trap_kind != TrapKind::None) [[unlikely]]
         goto trap_exit;
     op_count[ip->op]++;
-    consumed += ip->prefixCycles + ip->cycles;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
+    SB_LEAVE(0);
     pc = pair(30);
-    // A push into I/O space could have enabled the MAC unit; the
-    // block-entry check at next_block re-validates, so only the
-    // flag needs clearing (done at next_block).
     goto next_block;
   }
   lbl_EXIT_STATIC: {
-    // Non-retiring continuation (loop back-edge / cap / sentinel).
-    consumed += ip->prefixCycles;
-    insts += static_cast<uint64_t>(ip - code0);
-    pc = ip->pc;
+    // Non-retiring continuation (loop back-edge / cap / sentinel /
+    // MAC hazard ahead / after an I/O store in ISE).
+    SB_STAY();
     goto next_block;
   }
   lbl_EXIT_TRAP: {
     // Undecodable word: re-read flash to discriminate erased flash
-    // from a reserved encoding, as the fast path does.
+    // from a reserved encoding, as step() does.
     uint16_t w = flash_data[ip->pc & (flashWords - 1)];
-    consumed += ip->prefixCycles;
-    insts += static_cast<uint64_t>(ip - code0);
-    pc = ip->pc;
+    SB_STAY();
     pendingTrap = Trap{w == 0xffff ? TrapKind::FlashOutOfBounds
                                    : TrapKind::IllegalOpcode,
                        ip->pc, w};
@@ -1145,44 +1224,35 @@ Machine::runSuperblock(uint64_t max_cycles)
   take_branch: {
     op_count[ip->op]++;
     op_extra[ip->op] += branchTakenExtra;
-    consumed += ip->prefixCycles + ip->cycles + branchTakenExtra;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
+    SB_LEAVE(branchTakenExtra);
     pc = ip->target;
     goto next_block;
   }
   take_skip: {
     op_count[ip->op]++;
     op_extra[ip->op] += ip->extra;
-    consumed += ip->prefixCycles + ip->cycles + ip->extra;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
+    SB_LEAVE(ip->extra);
     pc = ip->target;
     goto next_block;
   }
-  maccr_side_exit: {
-    // A store just enabled the MAC unit mid-trace: the instruction
-    // retired, the rest of the trace must run with hazard checks.
-    // Translation guarantees ip[1].pc is this instruction's static
-    // fall-through successor.
-    consumed += ip->prefixCycles + ip->cycles;
-    insts += static_cast<uint64_t>(ip - code0) + 1;
-    pc = ip[1].pc;
-    flush();
-    runFastPlain(max_cycles - consumed);
-    return;
-  }
   trap_exit: {
     // The trapping instruction does not retire: charge the retired
-    // prefix only and leave PC at the instruction, exactly as
-    // runFast/step() do. Partial side effects (pre-decremented
-    // pointers, SP moves) persist identically.
-    consumed += ip->prefixCycles;
-    insts += static_cast<uint64_t>(ip - code0);
-    pc = ip->pc;
+    // prefix only and leave PC and the shadow as before the
+    // instruction, exactly as step() does. Partial side effects
+    // (pre-decremented pointers, SP moves, the 0xff loaded into the
+    // destination) persist identically — including the Alg. 2
+    // trigger step() applies to that 0xff for an R24 load.
+    SB_STAY();
+    if (ise && (io[ioMaccr] & MacUnit::ctrlLoadMode) &&
+        loadsR24(decodeCache[ip->pc & (flashWords - 1)].inst))
+        macUnit.macLoad(r8, r8[24]);
     pendingTrap = Trap{trap_kind, ip->pc, trap_addr};
     flush();
     return;
   }
 
+#undef SB_LEAVE
+#undef SB_STAY
 #undef SB_RETIRE
 #undef SB_RETIRE_MEM
 #undef SB_RETIRE_STORE

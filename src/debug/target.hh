@@ -10,15 +10,16 @@
  *
  * Execution control:
  *  - stepOne() uses Machine::step(), the reference path, so a single
- *    step is exact even where the fast path batches state.
+ *    step is exact even where the superblock backend batches state.
  *  - resume() uses Machine::run() with a caller-chosen cycle slice;
  *    a CycleBudget trap inside a slice is reported as Kind::Running
  *    so the server can poll the transport for gdb's interrupt (0x03)
  *    between slices and call resume() again.
  *  - While wantsStops() is false (no breakpoints, no watchpoints),
- *    run() selects the plain fast-path instantiation: an attached but
- *    passive debugger costs zero cycles and zero time (pinned by
- *    tests/test_decode_cache.cc).
+ *    run() keeps the superblock backend: an attached but passive
+ *    debugger costs zero cycles and zero time (pinned by
+ *    tests/test_decode_cache.cc). With stops armed, run() takes the
+ *    reference loop, which consults the hook per instruction.
  */
 
 #ifndef JAAVR_DEBUG_TARGET_HH

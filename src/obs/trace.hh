@@ -28,8 +28,8 @@
  * network layers sample that flag outside their hot loops. The ISS
  * is never touched at all (the only ISS-side hook, Machine's
  * TrapSink, fires after run() has already stopped), which is what
- * lets tests pin "attached tracer = zero simulated cycles" on all
- * three backends.
+ * lets tests pin "attached tracer = zero simulated cycles" on both
+ * backends.
  *
  * Timestamps are producer-defined: the network layer records
  * deterministic simulated microseconds, the service layer records

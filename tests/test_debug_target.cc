@@ -178,7 +178,8 @@ TEST(DebugTarget, WriteWatchpointStopsAfterTheStore)
             ldi r17, 1
             ret
         )");
-        s.m.forceReference = reference;
+        s.m.setBackend(reference ? IssBackend::Reference
+                                 : IssBackend::Superblock);
         // gdb sends data-space watch addresses with the 0x800000 bias.
         ASSERT_TRUE(s.t.setWatchpoint(WatchKind::Write,
                                       kGdbDataBase + 0x0150, 2));

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests pinning the predecoded fast path to the step() reference
+ * Tests pinning the decode cache and the default (superblock)
+ * backend built on it to the step() reference
  * implementation: cache contents versus fresh decode over the entire
  * primary opcode space, incremental cache refresh on loadProgram,
  * architectural-state equivalence on randomized programs and on the
@@ -129,8 +130,8 @@ TEST(DecodeCache, LoadProgramRefreshesNeighborEntry)
 }
 
 /*
- * Randomized ALU/memory/branch soup: the fast path and the step()
- * reference must agree on every piece of architectural state, the
+ * Randomized ALU/memory/branch soup: the superblock backend and the
+ * step() reference must agree on every piece of architectural state, the
  * statistics included. MACCR stays zero, so the program is valid in
  * all three modes.
  */
@@ -194,8 +195,8 @@ TEST(DecodeCache, RandomProgramStateEquivalence)
 
         Program prog = assemble(src, "soup");
         Machine fast(mode), ref(mode);
-        ref.forceReference = true;
-        fast.forceReference = false;
+        ref.setBackend(IssBackend::Reference);
+        fast.setBackend(IssBackend::Superblock);
         for (Machine *m : {&fast, &ref}) {
             m->loadProgram(prog.words, 0);
             // The soup's unbalanced pops may raise SP past the
@@ -232,11 +233,11 @@ TEST_P(OpfPathEquivalence, FieldOpsMatchReferenceAndModel)
         auto a = field.fromBig(BigUInt::randomBits(rng, prime.k));
         auto b = field.fromBig(BigUInt::randomBits(rng, prime.k));
 
-        lib.machine().forceReference = false;
+        lib.machine().setBackend(IssBackend::Superblock);
         OpfRun fm = lib.mul(a, b);
         OpfRun fa = lib.add(a, b);
         OpfRun fs = lib.sub(a, b);
-        lib.machine().forceReference = true;
+        lib.machine().setBackend(IssBackend::Reference);
         OpfRun rm = lib.mul(a, b);
         OpfRun ra = lib.add(a, b);
         OpfRun rs = lib.sub(a, b);
@@ -259,9 +260,9 @@ TEST_P(OpfPathEquivalence, FieldOpsMatchReferenceAndModel)
     OpfAvrLibrary lib(prime, CpuMode::FAST);
     BigUInt x = BigUInt(2) + BigUInt::random(rng, prime.p - BigUInt(2));
     auto wx = field.fromBig(x);
-    lib.machine().forceReference = false;
+    lib.machine().setBackend(IssBackend::Superblock);
     OpfRun fi = lib.inv(wx);
-    lib.machine().forceReference = true;
+    lib.machine().setBackend(IssBackend::Reference);
     OpfRun ri = lib.inv(wx);
     EXPECT_EQ(fi.result, ri.result);
     EXPECT_EQ(fi.cycles, ri.cycles);
@@ -286,10 +287,8 @@ TEST(DecodeCache, CycleBudgetBoundaryIdenticalOnBothPaths)
 
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
         for (IssBackend backend : {IssBackend::Reference,
-                                   IssBackend::Fast,
                                    IssBackend::Superblock}) {
             auto configure = [&](Machine &m) {
-                m.forceReference = backend == IssBackend::Reference;
                 m.setBackend(backend);
                 m.loadProgram(prog.words, 0);
             };
@@ -313,11 +312,11 @@ TEST(DecodeCache, CycleBudgetBoundaryIdenticalOnBothPaths)
 /*
  * The debug hook must be free when no debugger wants stops: a
  * DebugTarget that is attached but has no breakpoints or watchpoints
- * selects the plain run loops, and even an armed (but unreachable)
- * breakpoint — which engages the Debugged loop variants — must add
- * exactly zero cycles and zero architectural drift. Covers every
- * runFast instantiation mode on both paths, plus the
- * Profiled+Debugged combination.
+ * leaves the superblock backend running, and even an armed (but
+ * unreachable) breakpoint — which routes the run through the
+ * reference loop — must add exactly zero cycles and zero
+ * architectural drift. Covers both backends in every mode, plus a
+ * profiler and a debug hook attached together.
  */
 TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
 {
@@ -332,12 +331,14 @@ TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
         for (bool reference : {false, true}) {
             OpfAvrLibrary base(prime, mode);
-            base.machine().forceReference = reference;
+            base.machine().setBackend(reference ? IssBackend::Reference
+                                                : IssBackend::Superblock);
             OpfRun r0 = base.mul(a, b);
 
             // Attached but passive: no breakpoints, no watchpoints.
             OpfAvrLibrary passive(prime, mode);
-            passive.machine().forceReference = reference;
+            passive.machine().setBackend(reference ? IssBackend::Reference
+                                                   : IssBackend::Superblock);
             DebugTarget quiet(passive.machine());
             EXPECT_FALSE(quiet.wantsStops());
             OpfRun r1 = passive.mul(a, b);
@@ -345,10 +346,11 @@ TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
             EXPECT_EQ(r1.cycles, r0.cycles);
             expectSameState(passive.machine(), base.machine());
 
-            // Armed with a breakpoint that never hits: the Debugged
+            // Armed with a breakpoint that never hits: the reference
             // loop runs, but timing must be bit-identical.
             OpfAvrLibrary armed(prime, mode);
-            armed.machine().forceReference = reference;
+            armed.machine().setBackend(reference ? IssBackend::Reference
+                                                 : IssBackend::Superblock);
             DebugTarget watching(armed.machine());
             ASSERT_TRUE(watching.setBreakpoint(unreachable));
             EXPECT_TRUE(watching.wantsStops());
@@ -360,7 +362,7 @@ TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
         }
     }
 
-    // Profiled + Debugged fast-loop instantiation.
+    // Profiler and debug hook attached together.
     OpfAvrLibrary base(prime, CpuMode::ISE);
     OpfRun r0 = base.mul(a, b);
     OpfAvrLibrary both(prime, CpuMode::ISE);
@@ -373,14 +375,13 @@ TEST(DecodeCache, DebugHookAddsZeroCyclesWhenNotStopping)
     expectSameState(both.machine(), base.machine());
 }
 
-/** The environment flag forces the reference path at construction. */
+/** The environment selects the reference path at construction. */
 TEST(DecodeCache, EnvironmentFlagSelectsReferencePath)
 {
-    setenv("JAAVR_ISS_REFERENCE", "1", 1);
+    setenv("JAAVR_ISS_BACKEND", "reference", 1);
     Machine forced(CpuMode::CA);
-    EXPECT_TRUE(forced.forceReference);
-    setenv("JAAVR_ISS_REFERENCE", "0", 1);
+    EXPECT_EQ(forced.backend(), IssBackend::Reference);
+    unsetenv("JAAVR_ISS_BACKEND");
     Machine normal(CpuMode::CA);
-    EXPECT_FALSE(normal.forceReference);
-    unsetenv("JAAVR_ISS_REFERENCE");
+    EXPECT_EQ(normal.backend(), IssBackend::Superblock);
 }

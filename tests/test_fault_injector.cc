@@ -2,8 +2,9 @@
  * @file
  * FaultInjector semantics: deterministic firing, one-shot behavior
  * (the basis of time-redundant detection), identical perturbed
- * execution on the step() reference path and the runFast Faulted
- * instantiations, every fault target, routine-entry triggers through
+ * execution whichever backend is selected (a pending plan routes the
+ * run through the reference loop), firing alongside a debug hook that
+ * wants stops, every fault target, routine-entry triggers through
  * the SymbolTable, and flash corruption revert.
  */
 
@@ -61,13 +62,14 @@ struct RunState
 
 RunState
 runWithPlan(const FaultPlan *plan, bool reference,
-            CpuMode mode = CpuMode::CA)
+            CpuMode mode = CpuMode::CA, DebugHook *hook = nullptr)
 {
     Machine m(mode);
-    m.forceReference = reference;
+    m.setBackend(reference ? IssBackend::Reference : IssBackend::Superblock);
     m.loadProgram(assemble(kWorkload, "w").words, 0);
     FaultInjector inj;
     m.setFaultInjector(&inj);
+    m.setDebugHook(hook);
     if (plan)
         inj.arm(*plan, m.stats().cycles);
     m.call(0);
@@ -82,6 +84,16 @@ runWithPlan(const FaultPlan *plan, bool reference,
     st.data = m.readBytes(0x0200, 32);
     return st;
 }
+
+/** A debugger with a breakpoint set where execution never goes. */
+class NeverStops : public DebugHook
+{
+  public:
+    bool wantsStops() const override { return true; }
+    bool onBoundary(uint32_t, uint64_t) override { return false; }
+    void onLoad(uint16_t) override {}
+    void onStore(uint16_t) override {}
+};
 
 } // namespace
 
@@ -162,7 +174,8 @@ TEST(FaultInjector, InstSkipSkipsExactlyOne)
     Program prog = assemble("ldi r16, 1\nldi r17, 2\nldi r18, 3\nret", "t");
     for (int reference = 0; reference < 2; reference++) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(reference != 0 ? IssBackend::Reference
+                                    : IssBackend::Superblock);
         m.loadProgram(prog.words, 0);
         FaultInjector inj;
         m.setFaultInjector(&inj);
@@ -238,7 +251,8 @@ g:
 
     for (int reference = 0; reference < 2; reference++) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(reference != 0 ? IssBackend::Reference
+                                    : IssBackend::Superblock);
         m.loadProgram(prog.words, 0);
         FaultInjector inj;
         m.setFaultInjector(&inj);
@@ -441,4 +455,25 @@ TEST(FaultInjector, PlanDescribeIsStable)
     EXPECT_EQ(plan.describe(), "sram[0x0220] ^= 0x40 at +17 cycles");
     EXPECT_STREQ(faultTargetName(FaultTarget::OpcodeCorrupt),
                  "opcode_corrupt");
+}
+
+/*
+ * A debug hook that wants stops must not mask a pending fault: both
+ * select the reference loop, which honours both, so the fault fires
+ * on either backend and the run matches the hook-free reference.
+ */
+TEST(FaultInjector, FiresWhileDebugHookWantsStops)
+{
+    FaultPlan plan;
+    plan.target = FaultTarget::Gpr;
+    plan.reg = 20;
+    plan.mask = 0x81;
+    plan.triggerCycle = 150;
+    const RunState want = runWithPlan(&plan, true);
+    ASSERT_NE(want.regs[20], 136) << "the fault must corrupt the sum";
+    for (bool reference : {false, true}) {
+        NeverStops hook;
+        EXPECT_EQ(runWithPlan(&plan, reference, CpuMode::CA, &hook), want)
+            << (reference ? "reference" : "superblock");
+    }
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * LeakTracer tests: an attached-but-idle tracer adds exactly zero
- * simulated cycles on every run-loop instantiation (the same pinning
+ * simulated cycles on both backends (the same pinning
  * contract tests/test_vcd.cc holds the VCD writer to), recording does
  * not perturb timing or results, the synthesized samples match the
  * documented Hamming-weight/Hamming-distance model exactly when the
@@ -66,8 +66,8 @@ tmpPath(const std::string &leaf)
 
 /*
  * The WaveSink pinning contract: a LeakTracer that is attached but
- * never armed must leave every run-loop instantiation (all modes,
- * fast and reference) with bit-identical results, cycles and
+ * never armed must leave both backends (all modes, superblock and
+ * reference) with bit-identical results, cycles and
  * architectural state, and must synthesize no samples.
  */
 TEST(Leakage, AttachedButIdleAddsZeroCycles)
@@ -81,11 +81,13 @@ TEST(Leakage, AttachedButIdleAddsZeroCycles)
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
         for (bool reference : {false, true}) {
             OpfAvrLibrary base(prime, mode);
-            base.machine().forceReference = reference;
+            base.machine().setBackend(reference ? IssBackend::Reference
+                                                : IssBackend::Superblock);
             OpfRun r0 = base.mul(a, b);
 
             OpfAvrLibrary idle(prime, mode);
-            idle.machine().forceReference = reference;
+            idle.machine().setBackend(reference ? IssBackend::Reference
+                                                : IssBackend::Superblock);
             LeakTracer leak; // attached, never armed
             idle.machine().setLeakSink(&leak);
             EXPECT_FALSE(leak.active());
@@ -100,7 +102,8 @@ TEST(Leakage, AttachedButIdleAddsZeroCycles)
 }
 
 /** An armed tracer routes through the reference loop, whose timing is
- *  pinned to the fast path — recording is observation, not physics. */
+ *  pinned to the superblock backend — recording is observation, not
+ *  physics. */
 TEST(Leakage, RecordingDoesNotPerturbTimingOrResults)
 {
     OpfPrime prime = makeOpf(0xff4c, 144);

@@ -3,10 +3,10 @@
  * Trap semantics of the Machine: every anomaly that used to
  * panic()-abort must now raise a recoverable Trap through
  * run()/call(), with identical behavior on the step() reference path
- * and all runFast instantiations, and without retiring the faulting
+ * and the superblock backend, and without retiring the faulting
  * instruction. Covers each memory-protection boundary (SRAM data
  * limit, stack guard, erased flash), the exhaustive illegal-opcode
- * space, stack overflow from a recursive program, and fast-vs-
+ * space, stack overflow from a recursive program, and superblock-vs-
  * reference trap equality on random wild-access programs.
  */
 
@@ -31,14 +31,15 @@ trapOnBothPaths(const std::string &src, CpuMode mode = CpuMode::CA,
     uint64_t cycles[2];
     for (int reference = 0; reference < 2; reference++) {
         Machine m(mode);
-        m.forceReference = reference != 0;
+        m.setBackend(reference != 0 ? IssBackend::Reference
+                                    : IssBackend::Superblock);
         m.loadProgram(prog.words, 0);
         RunResult r = m.call(0, budget);
         traps[reference] = r.trap;
         cycles[reference] = r.cycles;
         EXPECT_EQ(r.trap, m.trap());
     }
-    EXPECT_EQ(traps[0], traps[1]) << "fast: " << traps[0].describe()
+    EXPECT_EQ(traps[0], traps[1]) << "superblock: " << traps[0].describe()
                                   << " vs ref: " << traps[1].describe();
     EXPECT_EQ(cycles[0], cycles[1]);
     return traps[0];
@@ -102,7 +103,8 @@ TEST(MachineTraps, TrappingStoreDoesNotWrite)
     Program prog = assemble("ldi r16, 0xaa\nsts 0x1100, r16\nret", "t");
     for (int reference = 0; reference < 2; reference++) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(reference != 0 ? IssBackend::Reference
+                                    : IssBackend::Superblock);
         m.loadProgram(prog.words, 0);
         // Raise the limit to plant a sentinel where the store lands,
         // then restore it for the run.
@@ -121,7 +123,8 @@ TEST(MachineTraps, CustomDataLimitIsHonored)
     Program prog = assemble("sts 0x0480, r16\nret", "t");
     for (int reference = 0; reference < 2; reference++) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(reference != 0 ? IssBackend::Reference
+                                    : IssBackend::Superblock);
         m.loadProgram(prog.words, 0);
         m.setDataLimit(0x047f);
         RunResult r = m.call(0);
@@ -144,7 +147,8 @@ TEST(MachineTraps, TrappedInstructionDoesNotRetire)
     )", "t");
     for (int reference = 0; reference < 2; reference++) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(reference != 0 ? IssBackend::Reference
+                                    : IssBackend::Superblock);
         m.loadProgram(prog.words, 0);
         RunResult r = m.call(0);
         EXPECT_EQ(r.trap.kind, TrapKind::SramOutOfBounds);
@@ -166,7 +170,8 @@ TEST(MachineTraps, RecursiveProgramOverflowsIntoGuard)
     Program prog = assemble("f: rcall f\nret", "t");
     for (int reference = 0; reference < 2; reference++) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(reference != 0 ? IssBackend::Reference
+                                    : IssBackend::Superblock);
         m.loadProgram(prog.words, 0);
         m.setStackGuard(0x1000);
         // Sentinel bytes just below the guard: the overflow must not
@@ -186,7 +191,8 @@ TEST(MachineTraps, PushBelowGuardTrapsBeforeWrite)
     Program prog = assemble("push r16\nret", "t");
     for (int reference = 0; reference < 2; reference++) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(reference != 0 ? IssBackend::Reference
+                                    : IssBackend::Superblock);
         m.loadProgram(prog.words, 0);
         m.setSp(0x00ff);  // below the default guard at sramBase
         m.setReg(16, 0xee);
@@ -204,7 +210,8 @@ TEST(MachineTraps, PopUnderflowPastSramTopTraps)
     Program prog = assemble("pop r16\nret", "t");
     for (int reference = 0; reference < 2; reference++) {
         Machine m(CpuMode::CA);
-        m.forceReference = reference != 0;
+        m.setBackend(reference != 0 ? IssBackend::Reference
+                                    : IssBackend::Superblock);
         m.loadProgram(prog.words, 0);
         RunResult r = m.run();
         EXPECT_EQ(r.trap.kind, TrapKind::SramOutOfBounds);
@@ -262,16 +269,16 @@ TEST(MachineTraps, ExhaustiveIllegalOpcodesRaiseNotAbort)
 
 TEST(MachineTraps, IllegalOpcodeIdenticalOnBothPaths)
 {
-    Machine fast(CpuMode::CA), ref(CpuMode::CA);
-    ref.forceReference = true;
-    for (Machine *m : {&fast, &ref}) {
+    Machine sb(CpuMode::CA), ref(CpuMode::CA);
+    ref.setBackend(IssBackend::Reference);
+    for (Machine *m : {&sb, &ref}) {
         m->loadProgram({0x9404}, 0);
         RunResult r = m->call(0);
         EXPECT_EQ(r.trap.kind, TrapKind::IllegalOpcode);
         EXPECT_EQ(r.trap.addr, 0x9404u);
         EXPECT_EQ(r.cycles, 0u);
     }
-    EXPECT_EQ(fast.trap(), ref.trap());
+    EXPECT_EQ(sb.trap(), ref.trap());
 }
 
 // --- Budget and recovery --------------------------------------------
@@ -306,7 +313,7 @@ TEST(MachineTraps, TrapDescribeNamesEveryKind)
     }
 }
 
-// --- Fast-vs-reference equality on random wild programs -------------
+// --- Superblock-vs-reference equality on random wild programs -------------
 
 TEST(MachineTraps, RandomWildProgramsTrapIdentically)
 {
@@ -339,22 +346,22 @@ TEST(MachineTraps, RandomWildProgramsTrapIdentically)
         src += "ret\n";
 
         Program prog = assemble(src, "wild");
-        Machine fast(CpuMode::CA), ref(CpuMode::CA);
-        ref.forceReference = true;
-        for (Machine *m : {&fast, &ref}) {
+        Machine sb(CpuMode::CA), ref(CpuMode::CA);
+        ref.setBackend(IssBackend::Reference);
+        for (Machine *m : {&sb, &ref}) {
             m->loadProgram(prog.words, 0);
             m->call(0);
         }
-        EXPECT_EQ(fast.trap(), ref.trap())
-            << "round " << round << ": " << fast.trap().describe()
+        EXPECT_EQ(sb.trap(), ref.trap())
+            << "round " << round << ": " << sb.trap().describe()
             << " vs " << ref.trap().describe();
-        EXPECT_EQ(fast.pc(), ref.pc());
-        EXPECT_EQ(fast.sp(), ref.sp());
-        EXPECT_EQ(fast.stats().cycles, ref.stats().cycles);
-        EXPECT_EQ(fast.stats().instructions, ref.stats().instructions);
+        EXPECT_EQ(sb.pc(), ref.pc());
+        EXPECT_EQ(sb.sp(), ref.sp());
+        EXPECT_EQ(sb.stats().cycles, ref.stats().cycles);
+        EXPECT_EQ(sb.stats().instructions, ref.stats().instructions);
         for (unsigned i = 0; i < 32; i++)
-            EXPECT_EQ(fast.reg(i), ref.reg(i)) << "r" << i;
-        if (fast.trap())
+            EXPECT_EQ(sb.reg(i), ref.reg(i)) << "r" << i;
+        if (sb.trap())
             trapped++;
     }
     // The address mix must actually exercise the boundaries.

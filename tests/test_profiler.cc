@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the ISS profiling layer (src/avr/profiler.{hh,cc}): the
- * call-graph profiler must observe identical events on the predecoded
- * fast path and the step() reference path, attribute every cycle and
+ * call-graph profiler must observe identical events whichever backend
+ * is selected (an attached sink routes the run through the step()
+ * reference path), attribute every cycle and
  * instruction exactly once, keep Chrome-trace begin/end events
  * properly nested, and leave the machine's statistics bit-identical
  * to an unprofiled run.
@@ -158,7 +159,7 @@ TEST(Profiler, FastAndReferencePathsObserveIdenticalEvents)
         Machine fast(mode), ref(mode);
         fast.loadProgram(prog.words);
         ref.loadProgram(prog.words);
-        ref.forceReference = true;
+        ref.setBackend(IssBackend::Reference);
         CallGraphProfiler pf(fast, syms, true, true);
         CallGraphProfiler pr(ref, syms, true, true);
         fast.call(0);
@@ -187,14 +188,14 @@ TEST_P(ProfilerOpfEquivalence, MulAndInvProfileIdentically)
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
         OpfAvrLibrary lib(prime, mode);
 
-        lib.machine().forceReference = false;
+        lib.machine().setBackend(IssBackend::Superblock);
         lib.machine().resetStats();
         CallGraphProfiler pf(lib.machine(), lib.symbols(), true, true);
         lib.mul(a, b);
         lib.inv(a);
         lib.machine().setProfiler(nullptr);
 
-        lib.machine().forceReference = true;
+        lib.machine().setBackend(IssBackend::Reference);
         lib.machine().resetStats();
         CallGraphProfiler pr(lib.machine(), lib.symbols(), true, true);
         lib.mul(a, b);
@@ -268,7 +269,8 @@ TEST(Profiler, TraceSinkFormatIdenticalOnBothPaths)
         std::FILE *f = std::tmpfile();
         Machine m(CpuMode::CA);
         m.loadProgram(prog.words);
-        m.forceReference = reference;
+        m.setBackend(reference ? IssBackend::Reference
+                               : IssBackend::Superblock);
         TraceSink sink(f);
         m.setProfiler(&sink);
         m.call(0);

@@ -1,7 +1,7 @@
 /**
  * @file
  * VCD waveform writer tests: an attached-but-idle writer adds exactly
- * zero cycles on every run-loop instantiation (mirroring
+ * zero cycles on both backends (mirroring
  * DebugHookAddsZeroCyclesWhenNotStopping for the WaveSink observer),
  * recording does not perturb timing, emitted dumps parse back
  * (header, declarations, change records), are cycle-accurate and
@@ -172,8 +172,8 @@ tmpPath(const std::string &leaf)
 
 /*
  * The WaveSink pinning contract: a VcdWriter that is attached but not
- * recording must leave every run-loop instantiation (all modes, fast
- * and reference, profiled or not) with bit-identical results, cycles
+ * recording must leave both backends (all modes, superblock and
+ * reference, profiled or not) with bit-identical results, cycles
  * and architectural state — the same discipline
  * DebugHookAddsZeroCyclesWhenNotStopping pins for the debug hook.
  */
@@ -188,11 +188,13 @@ TEST(Vcd, AttachedButIdleAddsZeroCycles)
     for (CpuMode mode : {CpuMode::CA, CpuMode::FAST, CpuMode::ISE}) {
         for (bool reference : {false, true}) {
             OpfAvrLibrary base(prime, mode);
-            base.machine().forceReference = reference;
+            base.machine().setBackend(reference ? IssBackend::Reference
+                                                : IssBackend::Superblock);
             OpfRun r0 = base.mul(a, b);
 
             OpfAvrLibrary idle(prime, mode);
-            idle.machine().forceReference = reference;
+            idle.machine().setBackend(reference ? IssBackend::Reference
+                                                : IssBackend::Superblock);
             VcdWriter vcd; // attached, never opened
             idle.machine().setWaveSink(&vcd);
             EXPECT_FALSE(vcd.active());
@@ -207,7 +209,8 @@ TEST(Vcd, AttachedButIdleAddsZeroCycles)
 }
 
 /** Recording routes through the reference loop, whose timing is
- *  pinned to the fast path — so the dump is free of time skew. */
+ *  pinned to the superblock backend — so the dump is free of time
+ *  skew. */
 TEST(Vcd, RecordingDoesNotPerturbTimingOrResults)
 {
     OpfPrime prime = makeOpf(0xff4c, 144);
