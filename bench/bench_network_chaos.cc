@@ -40,7 +40,6 @@
  * Flags: --smoke (CI-sized sweep), --seed <n>.
  */
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -114,7 +113,7 @@ struct LevelResult
     uint64_t sendAckSpans = 0;
     uint64_t retransmitSpans = 0;
     uint64_t rekeyEvents = 0;      ///< traced "rekey" instants
-    uint64_t telemetryP99Us = 0;   ///< p99 telemetry span, sim µs
+    double telemetryP99Us = 0;     ///< p99 telemetry span, sim µs
     uint64_t flightTriggers = 0;
     uint64_t flightEvents = 0;
 
@@ -343,12 +342,12 @@ runLevel(const LevelSpec &level, size_t sensors, uint32_t msgs,
     // p99 telemetry latency in simulated µs — deterministic per
     // seed, so the pinned ratio rows can use tight thresholds.
     tracer.setEnabled(false);
-    std::vector<uint64_t> telemetryDurs;
+    Histogram telemetryDurs;
     for (const auto &[source, recs] : tracer.snapshotAll()) {
         for (const obs::SpanRecord &sp : recs) {
             if (!std::strcmp(sp.name, "telemetry")) {
                 res.telemetrySpans++;
-                telemetryDurs.push_back(sp.durUs());
+                telemetryDurs.observe(double(sp.durUs()));
             } else if (!std::strcmp(sp.name, "send_ack")) {
                 res.sendAckSpans++;
             } else if (!std::strcmp(sp.name, "retransmit")) {
@@ -358,12 +357,7 @@ runLevel(const LevelSpec &level, size_t sensors, uint32_t msgs,
             }
         }
     }
-    if (!telemetryDurs.empty()) {
-        std::sort(telemetryDurs.begin(), telemetryDurs.end());
-        size_t idx = static_cast<size_t>(
-            0.99 * double(telemetryDurs.size() - 1) + 0.5);
-        res.telemetryP99Us = telemetryDurs[idx];
-    }
+    res.telemetryP99Us = telemetryDurs.percentile(99);
     res.flightTriggers = flight.triggers();
     res.flightEvents = flight.totalRecorded();
     if (!tracer.exportJsonLines(kTracePath, stamp) ||

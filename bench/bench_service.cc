@@ -17,7 +17,7 @@
  *     traffic at a fraction of the measured capacity into a running
  *     multi-worker service; reports achieved ops/s and the p50/p99
  *     submit-to-completion latency from the service histograms
- *     (Histogram::percentile).
+ *     (Histogram::percentile: nearest rank, within 1%).
  *
  * Rows go to BENCH_service.json (pinned rows gate via jaavr-report
  * against bench/baselines.json); the final sweep's labeled metrics
@@ -269,17 +269,6 @@ struct StageSample
     uint64_t compute = 0;  ///< drain begin -> completion
 };
 
-/** Nearest-rank percentile (copy; empty -> 0). */
-uint64_t
-pctOf(std::vector<uint64_t> v, double p)
-{
-    if (v.empty())
-        return 0;
-    std::sort(v.begin(), v.end());
-    size_t idx = static_cast<size_t>(std::ceil(p / 100.0 * v.size()));
-    return v[std::min(idx ? idx - 1 : 0, v.size() - 1)];
-}
-
 /**
  * Read every per-request span out of the tracer (quiesced: all
  * traced services are stopped) and emit the latency-attribution
@@ -323,17 +312,17 @@ emitAttribution(const obs::SpanTracer &tracer)
     double sum99 = double(at99.queue + at99.drainWait + at99.compute);
     double ratio = e2e99 > 0 ? sum99 / e2e99 : 1.0;
 
-    std::vector<uint64_t> qs, ds, cs;
+    Histogram qs, ds, cs;
     for (const StageSample &s : samples) {
-        qs.push_back(s.queue);
-        ds.push_back(s.drainWait);
-        cs.push_back(s.compute);
+        qs.observe(double(s.queue));
+        ds.observe(double(s.drainWait));
+        cs.observe(double(s.compute));
     }
 
     struct StageRow
     {
         const char *stage;
-        const std::vector<uint64_t> *vals;
+        const Histogram *hist;
         uint64_t at99;
     };
     const StageRow rows[] = {
@@ -349,8 +338,8 @@ emitAttribution(const obs::SpanTracer &tracer)
         line.str("workload", "mixed_load")
             .str("config", "paced_trace")
             .str("stage", row.stage)
-            .num("p50_us", double(pctOf(*row.vals, 50)))
-            .num("p99_us", double(pctOf(*row.vals, 99)))
+            .num("p50_us", row.hist->percentile(50))
+            .num("p99_us", row.hist->percentile(99))
             .num("p99_share_pct", share);
         appendJsonLine(kTracePath, line);
         char label[64];

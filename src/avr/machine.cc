@@ -1109,10 +1109,9 @@ Machine::publishMetrics(MetricsRegistry &reg) const
     // Per-op cycle distribution: each mnemonic contributes its mean
     // cycles-per-retirement at its retirement weight (the retired
     // statistics are aggregates, so the per-op mean is the available
-    // resolution). The p50/p99 gauges answer "what does a typical /
+    // resolution). The histogram's p50/p99 answer "what does a typical /
     // tail retirement cost" without re-running under a profiler.
-    Histogram &cyc = reg.histogram("iss_cycles_per_inst",
-                                   {1, 2, 3, 4, 5, 8, 16, 32, 64});
+    Histogram &cyc = reg.histogram("iss_cycles_per_inst");
     for (size_t i = 0; i < kNumOps; i++) {
         if (!execStats.opCount[i])
             continue;
@@ -1123,8 +1122,6 @@ Machine::publishMetrics(MetricsRegistry &reg) const
                         double(execStats.opCount[i]),
                     execStats.opCount[i]);
     }
-    reg.gauge("iss_cycles_per_inst_p50").set(cyc.percentile(50));
-    reg.gauge("iss_cycles_per_inst_p99").set(cyc.percentile(99));
     reg.gauge("iss_pc").set(pcWord);
     reg.gauge("iss_sp").set(sp());
 }

@@ -52,19 +52,6 @@ namespace
 
 constexpr uint64_t kNoShardHint = ~uint64_t(0);
 
-std::vector<double>
-latencyBoundsUs()
-{
-    return {25,    50,    100,   250,    500,    1000,   2500,
-            5000,  10000, 25000, 50000,  100000, 250000, 1000000};
-}
-
-std::vector<double>
-occupancyBounds()
-{
-    return {1, 2, 4, 8, 16, 32, 64, 128};
-}
-
 void
 fail(ServiceRequest &r, ServiceStatus st, const std::string &why)
 {
@@ -107,8 +94,7 @@ EccService::EccService(const ServiceConfig &config)
             cfg.rngSeed + i, cfg.machineMode));
         queues.push_back(std::make_unique<BoundedMpmcQueue<ServiceRequest *>>(
             cfg.queueCapacity));
-        stats.push_back(std::make_unique<WorkerStats>(latencyBoundsUs(),
-                                                      occupancyBounds()));
+        stats.push_back(std::make_unique<WorkerStats>());
         if (cfg.amortize) {
             WorkerContext &ctx = *contexts.back();
             ctx.ecdsaR1.attachFixedBase(tables.r1.get());
@@ -889,49 +875,19 @@ EccService::publishMetrics(MetricsRegistry &reg) const
                   st.opsByKind[size_t(op)].load(std::memory_order_relaxed));
         }
 
-        // Bucket-faithful histogram re-emission: raise each registry
-        // bucket to the worker's level by observing the bucket's own
-        // upper bound (counts stay exact; sums approximate).
         std::lock_guard<std::mutex> lk(st.histMutex);
-        auto emit = [&reg, &wl](const char *name, const Histogram &src) {
-            Histogram &dst = reg.histogram(name, src.bounds(), wl);
-            for (size_t b = 0; b <= src.bounds().size(); b++) {
-                uint64_t have = dst.bucketCount(b);
-                uint64_t want = src.bucketCount(b);
-                if (want > have) {
-                    double v = b < src.bounds().size()
-                                   ? src.bounds()[b]
-                                   : src.bounds().back() + 1.0;
-                    dst.observe(v, want - have);
-                }
-            }
-        };
-        emit("service_latency_us", st.latencyUs);
-        emit("service_batch_occupancy", st.occupancy);
-        reg.gauge("service_latency_p50_us", wl)
-            .set(st.latencyUs.percentile(50));
-        reg.gauge("service_latency_p99_us", wl)
-            .set(st.latencyUs.percentile(99));
-        reg.gauge("service_batch_occupancy_mean", wl)
-            .set(st.occupancy.mean());
+        reg.histogram("service_latency_us", wl) = st.latencyUs;
+        reg.histogram("service_batch_occupancy", wl) = st.occupancy;
     }
 }
 
 double
 EccService::latencyPercentileUs(double p) const
 {
-    Histogram merged(latencyBoundsUs());
+    Histogram merged;
     for (const auto &stp : stats) {
         std::lock_guard<std::mutex> lk(stp->histMutex);
-        const Histogram &src = stp->latencyUs;
-        for (size_t b = 0; b <= src.bounds().size(); b++) {
-            uint64_t cnt = src.bucketCount(b);
-            if (cnt == 0)
-                continue;
-            double v = b < src.bounds().size() ? src.bounds()[b]
-                                               : src.bounds().back() + 1.0;
-            merged.observe(v, cnt);
-        }
+        merged.merge(stp->latencyUs);
     }
     return merged.percentile(p);
 }

@@ -92,13 +92,15 @@ class EccService
     /**
      * Publish queue depths, per-worker op/batch counters, and the
      * latency/occupancy histograms into @p reg. Counters are raised
-     * to the current totals (idempotent across calls); histograms are
-     * re-emitted bucket-faithfully (counts exact per bucket, sums
-     * approximated by bucket upper bounds).
+     * to the current totals and histograms are replaced by exact
+     * copies of the workers' own, so repeated calls are idempotent.
      */
     void publishMetrics(MetricsRegistry &reg) const;
 
-    /** Per-worker latency percentile estimate in microseconds. */
+    /**
+     * Latency percentile in microseconds over every worker's requests
+     * (the workers' histograms merged; see Histogram::percentile).
+     */
     double latencyPercentileUs(double p) const;
 
     /**
@@ -141,12 +143,6 @@ class EccService
         mutable std::mutex histMutex;
         Histogram latencyUs;
         Histogram occupancy;
-
-        WorkerStats(std::vector<double> latency_bounds,
-                    std::vector<double> occupancy_bounds)
-            : latencyUs(std::move(latency_bounds)),
-              occupancy(std::move(occupancy_bounds))
-        {}
     };
 
     void workerLoop(unsigned idx);

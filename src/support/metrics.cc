@@ -1,57 +1,84 @@
 #include "support/metrics.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/logging.hh"
 
 namespace jaavr
 {
 
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : ub(std::move(upper_bounds))
+size_t
+Histogram::bucketOf(double v)
 {
-    std::sort(ub.begin(), ub.end());
-    counts.assign(ub.size() + 1, 0);
+    if (!(v >= 0.5))
+        return 0;
+    int e;
+    double m = std::frexp(v, &e);
+    if (e > kMaxExp)
+        return size_t(kMaxExp + 1) * kSubBuckets; // last bucket
+    // Exact scaling by a power of two: m * 2 * kSub is in [kSub, 2 kSub).
+    auto sub = size_t(m * 2 * kSubBuckets) - kSubBuckets;
+    return 1 + size_t(e) * kSubBuckets + sub;
+}
+
+double
+Histogram::bucketValue(size_t i)
+{
+    if (i == 0)
+        return 0; // underflow: clamped up to min by percentile()
+    size_t e = (i - 1) / kSubBuckets;
+    size_t sub = (i - 1) % kSubBuckets;
+    // Lower bound of [kSub + sub, kSub + sub + 1) * 2^e / (2 * kSub).
+    return std::ldexp(double(kSubBuckets + sub), int(e) - kSubBits - 1);
 }
 
 void
 Histogram::observe(double v, uint64_t weight)
 {
-    if (counts.empty())
-        counts.assign(1, 0);
-    size_t i = 0;
-    while (i < ub.size() && v > ub[i])
-        i++;
+    size_t i = bucketOf(v);
+    if (i >= counts.size())
+        counts.resize(i + 1, 0);
     counts[i] += weight;
+    minV = total ? std::min(minV, v) : v;
+    maxV = total ? std::max(maxV, v) : v;
     total += weight;
     sumV += v * double(weight);
+}
+
+void
+Histogram::merge(const Histogram &o)
+{
+    if (o.total == 0)
+        return;
+    if (o.counts.size() > counts.size())
+        counts.resize(o.counts.size(), 0);
+    for (size_t i = 0; i < o.counts.size(); i++)
+        counts[i] += o.counts[i];
+    minV = total ? std::min(minV, o.minV) : o.minV;
+    maxV = total ? std::max(maxV, o.maxV) : o.maxV;
+    total += o.total;
+    sumV += o.sumV;
 }
 
 double
 Histogram::percentile(double p) const
 {
-    if (total == 0 || ub.empty())
+    if (total == 0)
         return 0;
-    if (p < 0)
-        p = 0;
-    if (p > 100)
-        p = 100;
-    double rank = p / 100.0 * double(total);
+    p = std::clamp(p, 0.0, 100.0);
+    auto rank = std::clamp<uint64_t>(
+        uint64_t(std::ceil(p / 100.0 * double(total))), 1, total);
+    // The first and last ranks are the exact extremes.
+    if (rank == 1)
+        return minV;
+    if (rank == total)
+        return maxV;
     uint64_t seen = 0;
-    for (size_t i = 0; i < ub.size(); i++) {
-        uint64_t n = counts[i];
-        if (n && double(seen + n) >= rank) {
-            double lo = i ? ub[i - 1] : 0.0;
-            double frac = n ? (rank - double(seen)) / double(n) : 1.0;
-            if (frac < 0)
-                frac = 0;
-            return lo + frac * (ub[i] - lo);
-        }
-        seen += n;
-    }
-    // Rank fell into the +inf overflow bucket: clamp to the largest
-    // finite bound (the histogram cannot resolve beyond it).
-    return ub.back();
+    size_t i = 0;
+    while (seen + counts[i] < rank)
+        seen += counts[i++];
+    return std::clamp(bucketValue(i), minV, maxV);
 }
 
 std::string
@@ -85,16 +112,11 @@ MetricsRegistry::gauge(const std::string &name, const MetricLabels &labels)
 
 Histogram &
 MetricsRegistry::histogram(const std::string &name,
-                           std::vector<double> upper_bounds,
                            const MetricLabels &labels)
 {
     Key k{name, labelKey(labels)};
     labelSets.emplace(k, labels);
-    auto it = histograms.find(k);
-    if (it == histograms.end())
-        it = histograms.emplace(k, Histogram(std::move(upper_bounds)))
-                 .first;
-    return it->second;
+    return histograms[k];
 }
 
 size_t
@@ -124,17 +146,12 @@ MetricsRegistry::textSnapshot() const
         out += csprintf("gauge     %s%s %g\n", k.name.c_str(),
                         k.labels.c_str(), g.value());
     for (const auto &[k, h] : histograms) {
-        out += csprintf("histogram %s%s count=%llu sum=%g mean=%g",
+        out += csprintf("histogram %s%s count=%llu sum=%g mean=%g "
+                        "p50=%g p90=%g p99=%g max=%g\n",
                         k.name.c_str(), k.labels.c_str(),
                         static_cast<unsigned long long>(h.count()),
-                        h.sum(), h.mean());
-        for (size_t i = 0; i < h.bounds().size(); i++)
-            out += csprintf(" le_%g=%llu", h.bounds()[i],
-                            static_cast<unsigned long long>(
-                                h.bucketCount(i)));
-        out += csprintf(" le_inf=%llu\n",
-                        static_cast<unsigned long long>(
-                            h.bucketCount(h.bounds().size())));
+                        h.sum(), h.mean(), h.percentile(50),
+                        h.percentile(90), h.percentile(99), h.max());
     }
     return out;
 }
@@ -156,16 +173,15 @@ MetricsRegistry::jsonSnapshot(const JsonLine &stamp) const
         out.push_back(base(k, "counter").num("value", c.value()));
     for (const auto &[k, g] : gauges)
         out.push_back(base(k, "gauge").num("value", g.value()));
-    for (const auto &[k, h] : histograms) {
-        JsonLine line = base(k, "histogram")
-                            .num("count", h.count())
-                            .num("sum", h.sum())
-                            .num("mean", h.mean());
-        for (size_t i = 0; i < h.bounds().size(); i++)
-            line.num(csprintf("le_%g", h.bounds()[i]), h.bucketCount(i));
-        line.num("le_inf", h.bucketCount(h.bounds().size()));
-        out.push_back(line);
-    }
+    for (const auto &[k, h] : histograms)
+        out.push_back(base(k, "histogram")
+                          .num("count", h.count())
+                          .num("sum", h.sum())
+                          .num("mean", h.mean())
+                          .num("p50", h.percentile(50))
+                          .num("p90", h.percentile(90))
+                          .num("p99", h.percentile(99))
+                          .num("max", h.max()));
     return out;
 }
 

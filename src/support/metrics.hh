@@ -63,40 +63,55 @@ class Gauge
 };
 
 /**
- * Fixed-bucket histogram: observations are counted into the first
- * bucket whose upper bound is >= the value (the last bucket is the
- * implicit +inf overflow), plus a running count and sum.
+ * Log-linear (HDR-style) histogram: no bounds to configure, at most
+ * 1/128 relative bucket width, exact count/sum/min/max, and an exact
+ * merge.
+ *
+ * A value v = m * 2^e (std::frexp, m in [0.5, 1)) lands in one of
+ * kSubBuckets linear sub-buckets of its power of two, indexed by the
+ * top mantissa bits. The layout covers [0.5, 2^kMaxExp) — about
+ * 0.5 to 10^9; smaller values share an underflow bucket and larger
+ * ones clamp into the last bucket. Bucket storage grows on demand up
+ * to the largest index observed.
  */
 class Histogram
 {
   public:
-    Histogram() = default;
-    explicit Histogram(std::vector<double> upper_bounds);
+    static constexpr int kSubBits = 7;
+    static constexpr int kSubBuckets = 1 << kSubBits;
+    static constexpr int kMaxExp = 30;
 
     void observe(double v, uint64_t weight = 1);
+
+    /** Add @p o's observations; exact (counts add, min/max combine). */
+    void merge(const Histogram &o);
 
     uint64_t count() const { return total; }
     double sum() const { return sumV; }
     double mean() const { return total ? sumV / double(total) : 0.0; }
-    const std::vector<double> &bounds() const { return ub; }
-    /** Observations in bucket @p i (ub.size() == overflow bucket). */
-    uint64_t bucketCount(size_t i) const { return counts[i]; }
+    double min() const { return minV; }
+    double max() const { return maxV; }
 
     /**
-     * Bucket-interpolated percentile estimate for @p p in [0, 100]:
-     * the value below which p percent of the observations fall,
-     * linearly interpolated inside the bucket that crosses the rank
-     * (Prometheus histogram_quantile semantics). Observations in the
-     * overflow bucket clamp to the largest finite bound; an empty
-     * histogram returns 0.
+     * Nearest-rank percentile for @p p in [0, 100] (clamped): rank
+     * ceil(p/100 * n), clamped to [1, n]. Ranks 1 and n return the
+     * exact min and max; any other rank returns the lower bound of
+     * the bucket holding it (relative error < 1/128) clamped to
+     * [min, max]. Integers below 2 * kSubBuckets get a bucket each,
+     * so their percentiles are exact, as are a single-valued
+     * histogram's. An empty histogram returns 0.
      */
     double percentile(double p) const;
 
   private:
-    std::vector<double> ub;       ///< ascending upper bounds
-    std::vector<uint64_t> counts; ///< ub.size() + 1 (overflow last)
+    static size_t bucketOf(double v);
+    static double bucketValue(size_t i);
+
+    std::vector<uint64_t> counts; ///< [0] = underflow (< 0.5)
     uint64_t total = 0;
     double sumV = 0;
+    double minV = 0;
+    double maxV = 0;
 };
 
 class MetricsRegistry
@@ -111,13 +126,7 @@ class MetricsRegistry
 
     Gauge &gauge(const std::string &name, const MetricLabels &labels = {});
 
-    /**
-     * Look up or create a histogram; @p upper_bounds is only applied
-     * on creation (later calls with different bounds reuse the
-     * existing buckets).
-     */
     Histogram &histogram(const std::string &name,
-                         std::vector<double> upper_bounds,
                          const MetricLabels &labels = {});
 
     /** Number of registered metric instances (all three kinds). */
@@ -129,7 +138,7 @@ class MetricsRegistry
     /**
      * Human-readable snapshot, one line per metric instance:
      *   counter   mac_alg2_triggers{mode="ise"} 200
-     *   histogram inst_cycles{mode="ise"} count=552 sum=552 ...
+     *   histogram inst_cycles{mode="ise"} count=552 sum=552 mean=1 p50=1 ...
      * Deterministically ordered.
      */
     std::string textSnapshot() const;
@@ -138,7 +147,7 @@ class MetricsRegistry
      * One JsonLine per metric instance: {"metric":..,"type":..,
      * "value":..} with the labels flattened into string fields and
      * every field of @p stamp prepended (run metadata). Histograms
-     * carry count/sum/mean plus one "le_<bound>" field per bucket.
+     * carry count/sum/mean/p50/p90/p99/max.
      */
     std::vector<JsonLine> jsonSnapshot(const JsonLine &stamp = {}) const;
 

@@ -320,8 +320,8 @@ TEST(Leakage, TrapLandsAsAMarker)
     EXPECT_EQ(leak.markers()[0].second, leak.samples().size());
 }
 
-/** publishMetrics derives tail-latency gauges from the per-op retired
- *  statistics via Histogram::percentile. */
+/** publishMetrics exports the per-op cycle distribution as a
+ *  histogram whose percentiles summarize the retired statistics. */
 TEST(Leakage, PublishMetricsExportsPercentileGauges)
 {
     OpfPrime prime = makeOpf(0xff4c, 144);
@@ -336,17 +336,17 @@ TEST(Leakage, PublishMetricsExportsPercentileGauges)
 
     MetricsRegistry reg;
     lib.machine().publishMetrics(reg);
-    double p50 = reg.gauge("iss_cycles_per_inst_p50").value();
-    double p99 = reg.gauge("iss_cycles_per_inst_p99").value();
+    Histogram &cyc = reg.histogram("iss_cycles_per_inst");
+    ASSERT_GT(cyc.count(), 0u);
+    double p50 = cyc.percentile(50);
+    double p99 = cyc.percentile(99);
     EXPECT_GT(p50, 0.0);
-    EXPECT_GE(p99, p50);
     // Single-cycle ALU ops dominate the OPF multiply; CALL/RET-class
-    // retirements put the p99 tail strictly above the median.
+    // retirements put the p99 tail at or above the median.
     EXPECT_LT(p50, 2.0);
-    EXPECT_GT(p99, p50 * 1.0 - 1e-9);
-    // The gauges summarize the same histogram the registry publishes.
-    Histogram &cyc = reg.histogram("iss_cycles_per_inst", {});
-    EXPECT_GT(cyc.count(), 0u);
-    EXPECT_DOUBLE_EQ(cyc.percentile(50), p50);
-    EXPECT_DOUBLE_EQ(cyc.percentile(99), p99);
+    EXPECT_GE(p99, p50);
+    // The snapshot line carries the same summary.
+    EXPECT_NE(reg.textSnapshot().find("histogram iss_cycles_per_inst count=" +
+                                      std::to_string(cyc.count()) + " "),
+              std::string::npos);
 }

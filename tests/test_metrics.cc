@@ -1,15 +1,17 @@
 /**
  * @file
- * MetricsRegistry semantics (identity, labels, histogram bucketing,
- * deterministic snapshot ordering) and the JSON-lines round trip
- * through the flat-record parser in support/json.hh.
+ * MetricsRegistry semantics (identity, labels, histogram accuracy and
+ * merge, deterministic snapshot ordering) and the JSON-lines round
+ * trip through the flat-record parser in support/json.hh.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <random>
 
 #include "net/session.hh"
 #include "support/json.hh"
@@ -44,56 +46,117 @@ TEST(Metrics, GaugeHoldsLastValue)
     EXPECT_DOUBLE_EQ(reg.gauge("depth").value(), 1.5);
 }
 
-TEST(Metrics, HistogramBucketBoundaries)
+namespace
 {
-    MetricsRegistry reg;
-    Histogram &h = reg.histogram("cycles", {1, 10});
-    h.observe(0.5);
-    h.observe(1); // boundary lands in its own bucket (le semantics)
-    h.observe(5);
-    h.observe(10);
-    h.observe(11);
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_DOUBLE_EQ(h.sum(), 27.5);
-    EXPECT_DOUBLE_EQ(h.mean(), 5.5);
-    ASSERT_EQ(h.bounds().size(), 2u);
-    EXPECT_EQ(h.bucketCount(0), 2u); // <= 1
-    EXPECT_EQ(h.bucketCount(1), 2u); // <= 10
-    EXPECT_EQ(h.bucketCount(2), 1u); // overflow
 
-    // Weighted observation.
-    h.observe(3, 10);
-    EXPECT_EQ(h.count(), 15u);
-    EXPECT_EQ(h.bucketCount(1), 12u);
-
-    // Re-lookup keeps the original bounds.
-    Histogram &again = reg.histogram("cycles", {100, 200});
-    EXPECT_EQ(&again, &h);
-    EXPECT_EQ(again.bounds().size(), 2u);
-    EXPECT_DOUBLE_EQ(again.bounds()[1], 10);
+/** 10^5 seeded log-uniform samples over nine decades, [1, 10^9). */
+std::vector<double>
+logUniformSamples(uint64_t seed)
+{
+    std::mt19937_64 gen(seed);
+    std::uniform_real_distribution<double> decades(0.0, 9.0);
+    std::vector<double> v(100000);
+    for (double &x : v)
+        x = std::pow(10.0, decades(gen));
+    return v;
 }
 
-TEST(Metrics, HistogramPercentileInterpolatesInsideBuckets)
+/** Nearest rank on an ascending sample: rank ceil(p/100 n) in [1, n]. */
+double
+nearestRank(const std::vector<double> &sorted, double p)
 {
-    Histogram h({10, 20});
-    EXPECT_DOUBLE_EQ(h.percentile(50), 0); // empty histogram
+    auto rank = size_t(std::ceil(p / 100.0 * double(sorted.size())));
+    return sorted[std::clamp<size_t>(rank, 1, sorted.size()) - 1];
+}
 
-    h.observe(5, 10);  // 10 observations <= 10
-    h.observe(15, 10); // 10 observations in (10, 20]
-    // Ranks interpolate linearly inside the crossing bucket
-    // (histogram_quantile semantics: bucket [0,10] spans ranks 0..10).
-    EXPECT_DOUBLE_EQ(h.percentile(25), 5);
-    EXPECT_DOUBLE_EQ(h.percentile(50), 10);
-    EXPECT_DOUBLE_EQ(h.percentile(75), 15);
-    EXPECT_DOUBLE_EQ(h.percentile(100), 20);
+const double kPercentiles[] = {0, 1, 50, 90, 99, 99.9, 100};
+
+} // namespace
+
+TEST(Metrics, HistogramPercentileWithinOnePercent)
+{
+    Histogram empty;
+    EXPECT_DOUBLE_EQ(empty.percentile(50), 0);
+
+    std::vector<double> v = logUniformSamples(13);
+    Histogram h;
+    for (double x : v)
+        h.observe(x);
+    std::sort(v.begin(), v.end());
+    EXPECT_EQ(h.count(), v.size());
+    EXPECT_EQ(h.min(), v.front());
+    EXPECT_EQ(h.max(), v.back());
+    for (double p : kPercentiles) {
+        double exact = nearestRank(v, p);
+        EXPECT_LE(std::fabs(h.percentile(p) - exact), 0.01 * exact)
+            << "p" << p;
+    }
+    EXPECT_EQ(h.percentile(0), v.front());
+    EXPECT_EQ(h.percentile(100), v.back());
     // Out-of-range p clamps.
-    EXPECT_DOUBLE_EQ(h.percentile(-5), h.percentile(0));
-    EXPECT_DOUBLE_EQ(h.percentile(250), 20);
+    EXPECT_EQ(h.percentile(-5), v.front());
+    EXPECT_EQ(h.percentile(250), v.back());
 
-    // Overflow observations clamp to the largest finite bound: the
-    // histogram cannot resolve beyond its buckets.
-    h.observe(9999, 80);
-    EXPECT_DOUBLE_EQ(h.percentile(99), 20);
+    // Weighted observations count as repeated ones; the registry hands
+    // out one instance per name.
+    MetricsRegistry reg;
+    Histogram &w = reg.histogram("cycles");
+    std::vector<double> expanded;
+    const std::pair<double, uint64_t> obs[] = {
+        {1, 900}, {3.7, 90}, {250.25, 9}, {123456.5, 1}};
+    for (const auto &[x, n] : obs) {
+        w.observe(x, n);
+        expanded.insert(expanded.end(), n, x);
+    }
+    EXPECT_EQ(&reg.histogram("cycles"), &w);
+    EXPECT_EQ(w.count(), 1000u);
+    EXPECT_DOUBLE_EQ(w.sum(), 900 + 3.7 * 90 + 250.25 * 9 + 123456.5);
+    EXPECT_DOUBLE_EQ(w.mean(), w.sum() / 1000);
+    for (double p : kPercentiles) {
+        double exact = nearestRank(expanded, p);
+        EXPECT_LE(std::fabs(w.percentile(p) - exact), 0.01 * exact)
+            << "p" << p;
+    }
+
+    // A single-valued histogram is exact at every percentile, and so
+    // is one of small integers (each below 256 has its own bucket).
+    Histogram one, ints;
+    one.observe(2459.3, 7);
+    std::vector<double> iv;
+    for (int x = 0; x < 256; x++) {
+        ints.observe(x, x % 7 + 1);
+        iv.insert(iv.end(), x % 7 + 1, x);
+    }
+    for (double p : kPercentiles) {
+        EXPECT_EQ(one.percentile(p), 2459.3);
+        EXPECT_EQ(ints.percentile(p), nearestRank(iv, p)) << "p" << p;
+    }
+}
+
+TEST(Metrics, HistogramMergeIsExact)
+{
+    // Integer-valued samples keep every partial sum exact, so the
+    // merged sum must match bit for bit.
+    std::vector<double> v = logUniformSamples(29);
+    for (double &x : v)
+        x = std::round(x);
+    Histogram all, shards[4];
+    for (size_t i = 0; i < v.size(); i++) {
+        all.observe(v[i]);
+        shards[i % 4].observe(v[i]);
+    }
+    Histogram merged;
+    merged.merge(Histogram()); // merging nothing changes nothing
+    for (const Histogram &s : shards)
+        merged.merge(s);
+    EXPECT_EQ(merged.count(), all.count());
+    EXPECT_EQ(merged.sum(), all.sum());
+    EXPECT_EQ(merged.min(), all.min());
+    EXPECT_EQ(merged.max(), all.max());
+    for (int i = 0; i <= 1000; i++) {
+        double p = i / 10.0;
+        EXPECT_EQ(merged.percentile(p), all.percentile(p)) << "p" << p;
+    }
 }
 
 TEST(Metrics, TextSnapshotIsDeterministicallyOrdered)
@@ -103,6 +166,7 @@ TEST(Metrics, TextSnapshotIsDeterministicallyOrdered)
     reg.counter("alpha", {{"k", "2"}}).inc();
     reg.counter("alpha", {{"k", "1"}}).inc();
     reg.gauge("mid").set(4);
+    reg.histogram("lat").observe(2459.3, 3);
 
     std::string snap = reg.textSnapshot();
     size_t a1 = snap.find("alpha{k=\"1\"}");
@@ -122,7 +186,11 @@ TEST(Metrics, TextSnapshotIsDeterministicallyOrdered)
     reg2.counter("alpha", {{"k", "1"}}).inc();
     reg2.counter("alpha", {{"k", "2"}}).inc();
     reg2.counter("zeta").inc();
+    reg2.histogram("lat").observe(2459.3, 3);
     EXPECT_EQ(reg2.textSnapshot(), snap);
+    EXPECT_NE(snap.find("histogram lat count=3 sum=7377.9 mean=2459.3 "
+                        "p50=2459.3 p90=2459.3 p99=2459.3 max=2459.3\n"),
+              std::string::npos);
 }
 
 TEST(Metrics, JsonSnapshotRoundTrips)
@@ -130,7 +198,7 @@ TEST(Metrics, JsonSnapshotRoundTrips)
     MetricsRegistry reg;
     reg.counter("macs", {{"alg", "2"}}).inc(200);
     reg.gauge("sp").set(0x10ff);
-    reg.histogram("lat", {4}, {{"mode", "ise"}}).observe(2, 3);
+    reg.histogram("lat", {{"mode", "ise"}}).observe(2, 3);
 
     JsonLine stamp;
     stamp.str("bench", "unit").num("schema_version", uint64_t(2));
@@ -162,8 +230,9 @@ TEST(Metrics, JsonSnapshotRoundTrips)
             EXPECT_EQ(obj.at("mode").str, "ise");
             EXPECT_EQ(obj.at("count").num, 3);
             EXPECT_EQ(obj.at("sum").num, 6);
-            EXPECT_EQ(obj.at("le_4").num, 3);
-            EXPECT_EQ(obj.at("le_inf").num, 0);
+            EXPECT_EQ(obj.at("p50").num, 2);
+            EXPECT_EQ(obj.at("p99").num, 2);
+            EXPECT_EQ(obj.at("max").num, 2);
         }
     }
     EXPECT_TRUE(saw_counter && saw_gauge && saw_hist);

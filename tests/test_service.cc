@@ -4,8 +4,8 @@
  * (FIFO, capacity, backpressure), every op on every curve against
  * the single-call library golden path, bit-identical batched vs
  * single-call signatures (explicit nonces), error and hardened
- * paths, deterministic full-batch occupancy, and the idempotent
- * metrics publication.
+ * paths, deterministic full-batch occupancy, and the idempotent,
+ * exact metrics publication.
  */
 
 #include <gtest/gtest.h>
@@ -554,11 +554,49 @@ TEST(Service, PublishMetricsIsIdempotent)
     for (unsigned w = 0; w < 2; w++) {
         MetricLabels wl{{"worker", std::to_string(w)}};
         total += reg.counter("service_ops", wl).value();
-        hist += reg.histogram("service_latency_us", {}, wl).count();
+        hist += reg.histogram("service_latency_us", wl).count();
     }
     EXPECT_EQ(total, reqs.size());
     EXPECT_EQ(hist, reqs.size());
     EXPECT_EQ(svc.opsProcessed(), reqs.size());
     EXPECT_GT(svc.latencyPercentileUs(99), 0.0);
     EXPECT_GE(svc.latencyPercentileUs(99), svc.latencyPercentileUs(50));
+}
+
+TEST(Service, PublishedOccupancySumsAreExact)
+{
+    // One worker, batchMax 3, nine requests queued before start():
+    // every drain is a batch of exactly 3. The published occupancy
+    // histogram is a copy of the worker's, so its sum is the op count
+    // and its count the batch count, however often it is published.
+    ServiceConfig cfg = testConfig(1, true);
+    cfg.batchMax = 3;
+    EccService svc(cfg);
+    Rng rng(11);
+    const BigUInt &n = secp160r1Generator().order;
+    std::vector<ServiceRequest> reqs(9);
+    for (auto &r : reqs) {
+        r.op = ServiceOp::Sign;
+        r.curve = ServiceCurve::Secp160r1;
+        r.message = "occupancy";
+        r.privateKey = scalarBelow(rng, n);
+        ASSERT_TRUE(svc.trySubmit(&r));
+    }
+    svc.start();
+    for (auto &r : reqs)
+        EccService::wait(r);
+    svc.stop();
+
+    MetricsRegistry reg;
+    svc.publishMetrics(reg);
+    svc.publishMetrics(reg);
+    MetricLabels wl{{"worker", "0"}};
+    uint64_t ops = reg.counter("service_ops", wl).value();
+    uint64_t batches = reg.counter("service_batches", wl).value();
+    EXPECT_EQ(ops, 9u);
+    EXPECT_EQ(batches, 3u);
+    Histogram &occ = reg.histogram("service_batch_occupancy", wl);
+    EXPECT_EQ(occ.sum(), double(ops));
+    EXPECT_EQ(occ.count(), batches);
+    EXPECT_EQ(reg.histogram("service_latency_us", wl).count(), ops);
 }
