@@ -11,6 +11,7 @@
 
 #include "avrgen/opf_harness.hh"
 #include "curves/standard_curves.hh"
+#include "field/mont_field.hh"
 #include "field/opf_field.hh"
 #include "nt/opf_prime.hh"
 #include "support/random.hh"
@@ -57,16 +58,68 @@ BM_OpfMontMul(benchmark::State &state)
 }
 BENCHMARK(BM_OpfMontMul);
 
+/**
+ * Host field ops over {BigUInt PrimeField oracle, MontField<3>} x
+ * {secp160r1, paper OPF}: Arg(0) picks the field, as labelled.
+ */
+struct FieldCase
+{
+    const char *label;
+    const PrimeField &field;
+};
+
+FieldCase
+fieldCase(int64_t arg)
+{
+    static const MontField<3> montR1(secp160r1Field().modulus());
+    static const MontField<3> montOpf(paperOpfField().modulus());
+    switch (arg) {
+      case 0:
+        return {"biguint/secp160r1", secp160r1Field()};
+      case 1:
+        return {"biguint/opf", paperOpfField()};
+      case 2:
+        return {"mont3/secp160r1", montR1};
+      default:
+        return {"mont3/opf", montOpf};
+    }
+}
+
+template <class Op>
+void
+fieldBench(benchmark::State &state, Op op)
+{
+    FieldCase fc = fieldCase(state.range(0));
+    Rng rng(4);
+    BigUInt a = fc.field.random(rng), b = fc.field.random(rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(op(fc.field, a, b));
+    state.SetLabel(fc.label);
+}
+
+void
+BM_FieldMul(benchmark::State &state)
+{
+    fieldBench(state, [](const PrimeField &f, const BigUInt &a,
+                         const BigUInt &b) { return f.mul(a, b); });
+}
+BENCHMARK(BM_FieldMul)->DenseRange(0, 3);
+
+void
+BM_FieldSqr(benchmark::State &state)
+{
+    fieldBench(state, [](const PrimeField &f, const BigUInt &a,
+                         const BigUInt &) { return f.sqr(a); });
+}
+BENCHMARK(BM_FieldSqr)->DenseRange(0, 3);
+
 void
 BM_FieldInv(benchmark::State &state)
 {
-    const PrimeField &f = paperOpfField();
-    Rng rng(4);
-    BigUInt a = f.random(rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(f.inv(a));
+    fieldBench(state, [](const PrimeField &f, const BigUInt &a,
+                         const BigUInt &) { return f.inv(a); });
 }
-BENCHMARK(BM_FieldInv);
+BENCHMARK(BM_FieldInv)->DenseRange(0, 3);
 
 void
 BM_JacobianDouble(benchmark::State &state)

@@ -38,6 +38,19 @@ class BigUInt
     /** Constructs from a 64-bit value. */
     BigUInt(uint64_t v);
 
+    /** Constructs from little-endian 64-bit limbs (heap-free, unlike
+     *  fromWords). */
+    template <size_t N>
+    explicit BigUInt(const std::array<uint64_t, N> &limbs64) : BigUInt()
+    {
+        setSize(2 * N);
+        for (size_t i = 0; i < N; i++) {
+            limbs[2 * i] = static_cast<uint32_t>(limbs64[i]);
+            limbs[2 * i + 1] = static_cast<uint32_t>(limbs64[i] >> 32);
+        }
+        normalize();
+    }
+
     /** Parse a (optionally "0x"-prefixed) big-endian hex string. */
     static BigUInt fromHex(const std::string &hex);
 

@@ -3,8 +3,12 @@
  * Generic prime-field arithmetic context (the host "golden model").
  *
  * Elements are BigUInt values kept in the least non-negative residue
- * range [0, p). Subclasses may override reduceProduct() with a fast
- * prime-specific reduction (pseudo-Mersenne for secp160r1); the OPF
+ * range [0, p). The counted operations (add, sub, neg, mul, sqr,
+ * mulSmall, inv) are virtual: MontField<N> (mont_field.hh) overrides
+ * them with a fixed-width Montgomery kernel and is what the service
+ * workers compute on, while this class stays the BigUInt oracle.
+ * Subclasses that only want a faster reduction override
+ * reduceProduct() (pseudo-Mersenne for secp160r1/k1). The OPF
  * word-level model in opf_field.hh mirrors the AVR implementation and
  * is cross-checked against this class.
  */
@@ -32,21 +36,21 @@ class PrimeField
     const BigUInt &modulus() const { return p; }
     unsigned bits() const { return pBits; }
 
-    BigUInt add(const BigUInt &a, const BigUInt &b) const;
-    BigUInt sub(const BigUInt &a, const BigUInt &b) const;
-    BigUInt neg(const BigUInt &a) const;
-    BigUInt mul(const BigUInt &a, const BigUInt &b) const;
-    BigUInt sqr(const BigUInt &a) const;
+    virtual BigUInt add(const BigUInt &a, const BigUInt &b) const;
+    virtual BigUInt sub(const BigUInt &a, const BigUInt &b) const;
+    virtual BigUInt neg(const BigUInt &a) const;
+    virtual BigUInt mul(const BigUInt &a, const BigUInt &b) const;
+    virtual BigUInt sqr(const BigUInt &a) const;
 
     /**
      * Multiplication by a small constant (at most 16 bits). Counted
      * separately: the paper measures it at 0.25-0.3 of a full field
      * multiplication (Section II-B).
      */
-    BigUInt mulSmall(const BigUInt &a, uint32_t c) const;
+    virtual BigUInt mulSmall(const BigUInt &a, uint32_t c) const;
 
     /** Multiplicative inverse (extended Euclid); panics on zero. */
-    BigUInt inv(const BigUInt &a) const;
+    virtual BigUInt inv(const BigUInt &a) const;
 
     /** a^e mod p. Not op-counted (used only in setup paths). */
     BigUInt exp(const BigUInt &a, const BigUInt &e) const;

@@ -8,8 +8,7 @@ pseudoMersenneReduce(const BigUInt &t, const BigUInt &p, unsigned bits,
                      const BigUInt &c)
 {
     BigUInt r = t;
-    BigUInt top = BigUInt::powerOfTwo(bits);
-    while (r >= top) {
+    while (r.bitLength() > bits) {
         BigUInt hi = r >> bits;
         BigUInt lo = r - (hi << bits);
         r = hi * c + lo;
@@ -25,16 +24,16 @@ Secp160r1Field::primeValue()
     return BigUInt::powerOfTwo(160) - BigUInt::powerOfTwo(31) - BigUInt(1);
 }
 
-Secp160r1Field::Secp160r1Field() : PrimeField(primeValue())
+// 2^160 = 2^31 + 1 (mod p)
+Secp160r1Field::Secp160r1Field()
+    : PrimeField(primeValue()), fold(BigUInt::powerOfTwo(31) + BigUInt(1))
 {
 }
 
 BigUInt
 Secp160r1Field::reduceProduct(const BigUInt &t) const
 {
-    // 2^160 = 2^31 + 1 (mod p)
-    return pseudoMersenneReduce(
-        t, p, 160, BigUInt::powerOfTwo(31) + BigUInt(1));
+    return pseudoMersenneReduce(t, p, 160, fold);
 }
 
 BigUInt
@@ -44,16 +43,17 @@ Secp160k1Field::primeValue()
            BigUInt(21389);
 }
 
-Secp160k1Field::Secp160k1Field() : PrimeField(primeValue())
+// 2^160 = 2^32 + 21389 (mod p)
+Secp160k1Field::Secp160k1Field()
+    : PrimeField(primeValue()),
+      fold(BigUInt::powerOfTwo(32) + BigUInt(21389))
 {
 }
 
 BigUInt
 Secp160k1Field::reduceProduct(const BigUInt &t) const
 {
-    // 2^160 = 2^32 + 21389 (mod p)
-    return pseudoMersenneReduce(
-        t, p, 160, BigUInt::powerOfTwo(32) + BigUInt(21389));
+    return pseudoMersenneReduce(t, p, 160, fold);
 }
 
 } // namespace jaavr

@@ -29,6 +29,9 @@ class Secp160r1Field : public PrimeField
 
   protected:
     BigUInt reduceProduct(const BigUInt &t) const override;
+
+  private:
+    BigUInt fold;  ///< 2^160 mod p, the pseudo-Mersenne fold factor
 };
 
 /**
@@ -46,6 +49,9 @@ class Secp160k1Field : public PrimeField
 
   protected:
     BigUInt reduceProduct(const BigUInt &t) const override;
+
+  private:
+    BigUInt fold;  ///< 2^160 mod p, the pseudo-Mersenne fold factor
 };
 
 /**

@@ -1,5 +1,7 @@
 #include "service/context.hh"
 
+#include "field/secp160.hh"
+
 namespace jaavr
 {
 
@@ -61,8 +63,8 @@ S()
 } // namespace
 
 WorkerContext::WorkerContext(uint64_t rng_seed, CpuMode machine_mode)
-    : r1Field(),
-      k1Field(),
+    : r1Field(Secp160r1Field::primeValue()),
+      k1Field(Secp160k1Field::primeValue()),
       glvField(S().glvP),
       opfField(S().opfP),
       r1Scalar(S().r1N),
@@ -135,19 +137,19 @@ ServiceTables::build(const ServiceCurveSet &snap, unsigned width)
     // field objects used to build them can be transient.
     ServiceTables t;
     {
-        Secp160r1Field f;
+        WorkerField f(Secp160r1Field::primeValue());
         WeierstrassCurve c(f, snap.r1A, snap.r1B, "secp160r1");
         t.r1 = std::make_unique<FixedBaseComb>(
             c, snap.r1G, snap.r1N.bitLength(), width);
     }
     {
-        Secp160k1Field f;
+        WorkerField f(Secp160k1Field::primeValue());
         GlvCurve c(f, snap.k1Params, "secp160k1");
         t.k1 = std::make_unique<FixedBaseComb>(
             c, c.generator(), snap.k1Params.order.bitLength(), width);
     }
     {
-        PrimeField f(snap.glvP);
+        WorkerField f(snap.glvP);
         GlvCurve c(f, snap.glvParams, "glv-opf");
         t.glv = std::make_unique<FixedBaseComb>(
             c, c.generator(), snap.glvParams.order.bitLength(), width);

@@ -3,7 +3,7 @@
  * Per-worker execution context of the ECC service (DESIGN.md §14).
  *
  * The service's scaling contract is that worker contexts share
- * *nothing mutable*: each context owns private PrimeField instances
+ * *nothing mutable*: each context owns private field instances
  * (the fields carry a per-instance mutable op-counter attachment, so
  * sharing one across threads would race), private curve objects
  * built from a snapshot of the standard-curve parameters, private
@@ -28,7 +28,7 @@
 #include "curves/montgomery.hh"
 #include "curves/standard_curves.hh"
 #include "curves/weierstrass.hh"
-#include "field/secp160.hh"
+#include "field/mont_field.hh"
 #include "service/request.hh"
 #include "support/random.hh"
 
@@ -69,6 +69,10 @@ struct ServiceCurveSet
  *  sign/verify/keygen and hardened derive are available on it). */
 bool serviceOrderKnown(ServiceCurve c);
 
+/** The field every worker computes on: 3 x 64-bit limbs cover every
+ *  ServiceCurve prime and subgroup order. */
+using WorkerField = MontField<3>;
+
 /**
  * One worker's private crypto state. Construction is cheap relative
  * to service lifetime (a few scalar multiplications of self-checks);
@@ -83,16 +87,19 @@ class WorkerContext
     WorkerContext(const WorkerContext &) = delete;
     WorkerContext &operator=(const WorkerContext &) = delete;
 
-    // Fields first: the curves below hold references into them.
-    Secp160r1Field r1Field;
-    Secp160k1Field k1Field;
-    PrimeField glvField;
-    PrimeField opfField;
+    // Fields first: the curves below hold references into them. All
+    // compute on the fixed-width Montgomery kernel; the BigUInt
+    // standard-curve singletons stay the oracle they are checked
+    // against.
+    WorkerField r1Field;
+    WorkerField k1Field;
+    WorkerField glvField;
+    WorkerField opfField;
     // Scalar fields mod the subgroup orders, for the batched nonce
-    // inversions (n is prime, so PrimeField applies as-is).
-    PrimeField r1Scalar;
-    PrimeField k1Scalar;
-    PrimeField glvScalar;
+    // inversions (n is prime, and the 161-bit orders fit 192 bits).
+    WorkerField r1Scalar;
+    WorkerField k1Scalar;
+    WorkerField glvScalar;
 
     WeierstrassCurve secp160r1;
     GlvCurve secp160k1;

@@ -82,6 +82,25 @@ TEST(BigUInt, WordsRoundTrip)
     EXPECT_EQ(BigUInt::fromWords(w), v);
 }
 
+TEST(BigUInt, FromLimbs64)
+{
+    std::array<uint64_t, 3> l = {0x8899aabbccddeeffull, 0x0011223344556677ull,
+                                 0};
+    BigUInt v(l);
+    EXPECT_EQ(v, BigUInt::fromHex("00112233445566778899aabbccddeeff"));
+    EXPECT_EQ(v.numLimbs(), 4u);  // normalized: zero top limb dropped
+    EXPECT_TRUE(BigUInt(std::array<uint64_t, 3>{}).isZero());
+    Rng rng(64);
+    for (int i = 0; i < 50; i++) {
+        BigUInt r = BigUInt::randomBits(rng, 192);
+        std::vector<uint32_t> w = r.toWords(6);
+        std::array<uint64_t, 3> r64;
+        for (size_t j = 0; j < 3; j++)
+            r64[j] = uint64_t(w[2 * j]) | uint64_t(w[2 * j + 1]) << 32;
+        EXPECT_EQ(BigUInt(r64), r);
+    }
+}
+
 TEST(BigUInt, AddSubInverse)
 {
     Rng rng(2);

@@ -156,6 +156,70 @@ TEST(Service, SignMatchesSingleCallOnEveryOrderKnownCurve)
     svc.stop();
 }
 
+TEST(Service, VerifyMatchesGoldenOnEveryOrderKnownCurve)
+{
+    // The workers verify on MontField<3>; the singleton Ecdsa objects
+    // (BigUInt PrimeField) are the oracle. Valid, tampered-message and
+    // wrong-key signatures must get the singleton's verdict.
+    Ecdsa r1(secp160r1Curve(), secp160r1Generator().g,
+             secp160r1Generator().order);
+    Ecdsa k1(secp160k1Curve());
+    Ecdsa glv(glvOpfCurve());
+    const std::pair<ServiceCurve, const Ecdsa *> goldens[] = {
+        {ServiceCurve::Secp160r1, &r1},
+        {ServiceCurve::Secp160k1, &k1},
+        {ServiceCurve::GlvOpf, &glv},
+    };
+
+    EccService svc(testConfig(2, true));
+    svc.start();
+    Rng rng(3);
+    for (auto [curve, signer] : goldens) {
+        const BigUInt &n = signer->order();
+        struct Case
+        {
+            std::string message;
+            EcdsaSignature sig;
+            AffinePoint q;
+        };
+        std::vector<Case> cases;
+        for (int i = 0; i < 3; i++) {
+            EcdsaKeyPair kp = signer->generateKey(rng);
+            EcdsaKeyPair other = signer->generateKey(rng);
+            std::string msg = "verify " + std::to_string(i);
+            std::optional<EcdsaSignature> sig;
+            while (!sig)
+                sig = signer->signWithNonce(msg, kp.d, scalarBelow(rng, n));
+            cases.push_back({msg, *sig, kp.q});
+            cases.push_back({msg + " (tampered)", *sig, kp.q});
+            cases.push_back({msg, *sig, other.q});
+        }
+        std::vector<ServiceRequest> reqs(cases.size());
+        for (size_t i = 0; i < cases.size(); i++) {
+            ServiceRequest &r = reqs[i];
+            r.op = ServiceOp::Verify;
+            r.curve = curve;
+            r.message = cases[i].message;
+            r.signature = cases[i].sig;
+            r.peer = cases[i].q;
+            ASSERT_TRUE(svc.submit(&r));
+        }
+        size_t accepted = 0;
+        for (size_t i = 0; i < cases.size(); i++) {
+            EccService::wait(reqs[i]);
+            ASSERT_EQ(reqs[i].status, ServiceStatus::Ok)
+                << serviceCurveName(curve) << ": " << reqs[i].error;
+            bool expect =
+                signer->verify(cases[i].message, cases[i].sig, cases[i].q);
+            EXPECT_EQ(reqs[i].verifyOk, expect)
+                << serviceCurveName(curve) << " case " << i;
+            accepted += expect;
+        }
+        EXPECT_EQ(accepted, 3u) << serviceCurveName(curve);
+    }
+    svc.stop();
+}
+
 TEST(Service, FullBatchIsBitIdenticalToSingleCalls)
 {
     // One worker, everything queued before start(): the worker's
