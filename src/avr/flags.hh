@@ -1,11 +1,10 @@
 /**
  * @file
- * Branchless SREG flag evaluation for the superblock backend
- * (superblock.cc): one read-modify-write of SREG per instruction
- * instead of one per flag. The reference path (Machine::step) keeps
- * the original setFlag-based helpers; tests/test_superblock.cc and
- * tests/test_decode_cache.cc pin both backends to bit-identical SREG
- * values.
+ * Branchless SREG flag evaluation: one read-modify-write of SREG per
+ * instruction instead of one per flag. The datapath (avr/datapath.hh)
+ * is their one caller, so Machine::step() and the superblock handlers
+ * compute every flag here; tests/test_machine_alu_exhaustive.cc checks
+ * all eight SREG bits against the instruction-set manual.
  */
 
 #ifndef JAAVR_AVR_FLAGS_HH
@@ -21,7 +20,7 @@ inline constexpr uint8_t sregC = 0x01, sregZ = 0x02, sregN = 0x04,
                          sregV = 0x08, sregS = 0x10, sregH = 0x20,
                          sregT = 0x40, sregI = 0x80;
 
-/** addFlags(): writes H, S, V, N, Z, C. */
+/** ADD/ADC flags: writes H, S, V, N, Z, C. */
 inline void
 addFlagsB(uint8_t &sreg, uint8_t d, uint8_t s, uint8_t r)
 {
@@ -38,7 +37,10 @@ addFlagsB(uint8_t &sreg, uint8_t d, uint8_t s, uint8_t r)
     sreg = (sreg & 0xc0) | f;
 }
 
-/** subFlags(): writes H, S, V, N, Z, C; Z sticky when @p keep_z. */
+/**
+ * SUB/SBC/CP/CPC/NEG flags: writes H, S, V, N, Z, C; Z sticky when
+ * @p keep_z.
+ */
 inline void
 subFlagsB(uint8_t &sreg, uint8_t d, uint8_t s, uint8_t r, bool keep_z)
 {
@@ -103,11 +105,15 @@ wideFlagsB(uint8_t &sreg, uint16_t r, bool v, bool c)
     sreg = (sreg & ~(sregC | sregZ | sregN | sregV | sregS)) | f;
 }
 
-/** MUL/MULS/MULSU/FMUL* flags: Z and C only. */
+/**
+ * MUL/MULS/MULSU/FMUL* flags: Z and C only. The carry comes as a 0/1
+ * value, not a bool: from a bool GCC may branch on it (a set carry
+ * implies a nonzero product), and that branch is unpredictable.
+ */
 inline void
-mulFlagsB(uint8_t &sreg, uint16_t product, bool carry)
+mulFlagsB(uint8_t &sreg, uint16_t product, uint8_t carry_bit)
 {
-    uint8_t f = static_cast<uint8_t>((carry ? 1 : 0) |
+    uint8_t f = static_cast<uint8_t>(carry_bit |
                                      static_cast<uint8_t>(product == 0)
                                          << 1);
     sreg = (sreg & ~(sregC | sregZ)) | f;

@@ -470,32 +470,4 @@ disassemble(const Inst &i)
     }
 }
 
-bool
-isLoadOp(Op op)
-{
-    switch (op) {
-      case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC:
-      case Op::LDD_Y: case Op::LD_Y_INC: case Op::LD_Y_DEC:
-      case Op::LDD_Z: case Op::LD_Z_INC: case Op::LD_Z_DEC:
-      case Op::LDS:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isStoreOp(Op op)
-{
-    switch (op) {
-      case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC:
-      case Op::STD_Y: case Op::ST_Y_INC: case Op::ST_Y_DEC:
-      case Op::STD_Z: case Op::ST_Z_INC: case Op::ST_Z_DEC:
-      case Op::STS:
-        return true;
-      default:
-        return false;
-    }
-}
-
 } // namespace jaavr

@@ -82,11 +82,9 @@ Inst decode(uint16_t w0, uint16_t w1);
  * are not distinct opcodes at all but register-register instructions
  * with rd == rr (LSL Rd = ADD Rd,Rd; ROL Rd = ADC Rd,Rd; TST Rd =
  * AND Rd,Rd; CLR Rd = EOR Rd,Rd), so decode() folds them into their
- * canonical Op implicitly. synonymOf() recovers the classification:
- * the superblock translator uses it to emit specialized single-operand
- * handler shapes, and disassemble() prints the idiomatic mnemonic.
- * The exhaustive 65536-word suite (tests/test_superblock.cc) proves
- * the canonical execution is bit-identical for every such word.
+ * canonical Op implicitly and the ISS executes them as such.
+ * synonymOf() recovers the classification for disassemble(), which
+ * prints the idiomatic mnemonic.
  */
 enum class Synonym : uint8_t
 {
@@ -110,10 +108,59 @@ std::string disassemble(const Inst &inst);
 bool isTwoWord(uint16_t w0);
 
 /** True for the data-space load family (LD/LDD/LDS). */
-bool isLoadOp(Op op);
+inline bool
+isLoadOp(Op op)
+{
+    switch (op) {
+      case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC:
+      case Op::LDD_Y: case Op::LD_Y_INC: case Op::LD_Y_DEC:
+      case Op::LDD_Z: case Op::LD_Z_INC: case Op::LD_Z_DEC:
+      case Op::LDS:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** True for the data-space store family (ST/STD/STS). */
-bool isStoreOp(Op op);
+inline bool
+isStoreOp(Op op)
+{
+    switch (op) {
+      case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC:
+      case Op::STD_Y: case Op::ST_Y_INC: case Op::ST_Y_DEC:
+      case Op::STD_Z: case Op::ST_Z_INC: case Op::ST_Z_DEC:
+      case Op::STS:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/**
+ * Algorithm-2 MAC trigger shape: a data-space load into R24 (any
+ * LD/LDD/LDS form). In ISE under MACCR load mode it feeds the loaded
+ * byte through the MAC unit.
+ */
+inline bool
+firesLoadMac(const Inst &inst)
+{
+    return inst.rd == 24 && isLoadOp(inst.op);
+}
+
+/**
+ * The triggers exempt from the MAC shadow hazard rule: every
+ * firesLoadMac() form except the pre-decrement ones. An exempt load
+ * may retrigger while one micro-op of the previous trigger is still
+ * pending; every other instruction that touches {R0..R8, R16..R19}
+ * inside a shadow is a hazard.
+ */
+inline bool
+macShadowExempt(const Inst &inst)
+{
+    return firesLoadMac(inst) && inst.op != Op::LD_X_DEC &&
+           inst.op != Op::LD_Y_DEC && inst.op != Op::LD_Z_DEC;
+}
 
 } // namespace jaavr
 

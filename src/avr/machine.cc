@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "avr/datapath.hh"
 #include "avr/fault.hh"
 #include "avr/profiler.hh"
 #include "avr/superblock.hh"
@@ -146,16 +147,6 @@ Machine::makeDecoded(uint16_t w0, uint16_t w1) const
     d.inst = decode(w0, w1);
     d.cycles = baseCycleTable(cpuMode)[static_cast<size_t>(d.inst.op)];
     d.touchesMac = touchesMacRegs(d.inst);
-    d.macLoadForm =
-        d.inst.rd == 24 &&
-        (d.inst.op == Op::LDD_Y || d.inst.op == Op::LDD_Z ||
-         d.inst.op == Op::LD_X || d.inst.op == Op::LD_X_INC ||
-         d.inst.op == Op::LD_Y_INC || d.inst.op == Op::LD_Z_INC ||
-         d.inst.op == Op::LDS);
-    // Canonicalization: classify synonym encodings (LSL=ADD Rd,Rd,
-    // ROL=ADC, TST=AND, CLR=EOR) once at predecode so the superblock
-    // translator can emit specialized single-operand handlers.
-    d.synonym = synonymOf(d.inst);
     return d;
 }
 
@@ -268,76 +259,6 @@ Machine::setMaccr(uint8_t v)
     io[ioMaccr] = v;
 }
 
-void
-Machine::setFlag(unsigned f, bool v)
-{
-    if (v)
-        sregBits |= 1u << f;
-    else
-        sregBits &= ~(1u << f);
-}
-
-void
-Machine::setZns(uint8_t r)
-{
-    setFlag(fZ, r == 0);
-    setFlag(fN, r & 0x80);
-    setFlag(fS, flag(fN) != flag(fV));
-}
-
-void
-Machine::addFlags(uint8_t d, uint8_t s, uint8_t r)
-{
-    setFlag(fH, ((d & s) | (s & ~r) | (~r & d)) & 0x08);
-    setFlag(fC, ((d & s) | (s & ~r) | (~r & d)) & 0x80);
-    setFlag(fV, ((d & s & ~r) | (~d & ~s & r)) & 0x80);
-    setZns(r);
-}
-
-void
-Machine::subFlags(uint8_t d, uint8_t s, uint8_t r, bool keep_z)
-{
-    setFlag(fH, ((~d & s) | (s & r) | (r & ~d)) & 0x08);
-    setFlag(fC, ((~d & s) | (s & r) | (r & ~d)) & 0x80);
-    setFlag(fV, ((d & ~s & ~r) | (~d & s & r)) & 0x80);
-    setFlag(fN, r & 0x80);
-    setFlag(fS, flag(fN) != flag(fV));
-    if (keep_z)
-        setFlag(fZ, (r == 0) && flag(fZ));
-    else
-        setFlag(fZ, r == 0);
-}
-
-void
-Machine::push8(uint8_t v)
-{
-    writeData(sp(), v);
-    setSp(sp() - 1);
-}
-
-uint8_t
-Machine::pop8()
-{
-    setSp(sp() + 1);
-    return readData(sp());
-}
-
-void
-Machine::pushPc(uint32_t pc)
-{
-    // Low byte pushed first, high byte second (popped in reverse).
-    push8(static_cast<uint8_t>(pc));
-    push8(static_cast<uint8_t>(pc >> 8));
-}
-
-uint32_t
-Machine::popPc()
-{
-    uint32_t hi = pop8();
-    uint32_t lo = pop8();
-    return (hi << 8) | lo;
-}
-
 uint16_t
 Machine::fetch(uint32_t word_addr) const
 {
@@ -386,23 +307,13 @@ Machine::touchesMacRegs(const Inst &inst) const
     }
 }
 
-void
-Machine::triggerLoadMac(uint8_t value)
-{
-    // The two micro-MACs are applied immediately; the shadow counter
-    // plus the hazard checks in step() make that indistinguishable
-    // from the real one-per-following-cycle retirement.
-    macUnit.macLoad(regs, value);
-}
-
 unsigned
 Machine::step()
 {
     pendingTrap = Trap();
-    uint32_t pc0 = pcWord;
-    uint16_t w0 = fetch(pc0);
-    uint16_t w1 = fetch(pc0 + 1);
-    Inst inst = decode(w0, w1);
+    const uint32_t pc0 = pcWord;
+    const uint16_t w0 = fetch(pc0);
+    const Inst inst = decode(w0, fetch(pc0 + 1));
 
     if (inst.op == Op::INVALID) {
         pendingTrap = Trap{w0 == 0xffff ? TrapKind::FlashOutOfBounds
@@ -424,505 +335,159 @@ Machine::step()
     // touch {R0..R8, R16..R19}. A new R24 load is allowed (pipelined
     // retriggering) unless both micro-ops of the previous trigger are
     // still outstanding.
-    bool ise = cpuMode == CpuMode::ISE;
-    bool load_mac = ise && (io[ioMaccr] & MacUnit::ctrlLoadMode);
-    bool swap_mac = ise && (io[ioMaccr] & MacUnit::ctrlSwapMode);
+    const bool ise = cpuMode == CpuMode::ISE;
+    const bool load_mac = ise && (io[ioMaccr] & MacUnit::ctrlLoadMode);
+    const bool swap_mac = ise && (io[ioMaccr] & MacUnit::ctrlSwapMode);
     const uint8_t shadow = macUnit.pendingShadow();
-    bool is_r24_load =
-        load_mac && inst.rd == 24 &&
-        (inst.op == Op::LDD_Y || inst.op == Op::LDD_Z ||
-         inst.op == Op::LD_X || inst.op == Op::LD_X_INC ||
-         inst.op == Op::LD_Y_INC || inst.op == Op::LD_Z_INC ||
-         inst.op == Op::LDS);
-    if (shadow > 0 && touchesMacRegs(inst) && !is_r24_load) {
+    const bool exempt = load_mac && macShadowExempt(inst);
+    if (shadow > 0 && touchesMacRegs(inst) && !exempt) {
         pendingTrap = Trap{TrapKind::MacHazard, pc0, 0};
         return 0;
     }
-    if (shadow >= 2 && is_r24_load) {
+    if (shadow >= 2 && exempt) {
         pendingTrap = Trap{TrapKind::MacHazard, pc0, 1};
         return 0;
     }
 
     uint32_t next_pc = pc0 + inst.words;
     unsigned cycles = baseCycles(inst.op, cpuMode);
-    bool mac_triggered = false;
+    bool skip = false;
 
-    auto ld_trigger = [&](uint8_t v, uint8_t rd) {
-        if (load_mac && rd == 24) {
-            triggerLoadMac(v);
-            mac_triggered = true;
-        }
-    };
+    // The datapath's memory-access policy (the superblock backend has
+    // the fast twin): the debug hook sees every data load and store,
+    // and one beyond dataLimit traps, leaving the same partial state
+    // (e.g. a pre-decremented X) on both backends. I/O-space accesses
+    // (IN/OUT/SBI/CBI/SBIC/SBIS) stay unguarded.
+    struct Mem : dp::Faults
+    {
+        Machine &m;
 
-    // Guarded data-space access: the superblock backend mirrors these
-    // checks byte for byte in its loadMem/storeMem/pushB lambdas so a
-    // trapping instruction leaves identical partial state (e.g. a
-    // pre-decremented X pointer) on both paths. I/O-space accesses
-    // (IN/OUT/SBI/CBI, addresses < sramBase) stay unguarded.
-    TrapKind trap_kind = TrapKind::None;
-    uint16_t trap_addr = 0;
-    auto ldG = [&](uint16_t a) -> uint8_t {
-        if (dbgHook)
-            dbgHook->onLoad(a);
-        if (a >= sramBase && a > dataLimitV) {
-            trap_kind = TrapKind::SramOutOfBounds;
-            trap_addr = a;
-            return 0xff;
+        uint8_t load(uint16_t a)
+        {
+            if (m.dbgHook)
+                m.dbgHook->onLoad(a);
+            if (a >= sramBase && a > m.dataLimitV) {
+                raise(TrapKind::SramOutOfBounds, a);
+                return 0xff;
+            }
+            return m.readData(a);
         }
-        return readData(a);
-    };
-    auto stG = [&](uint16_t a, uint8_t v) {
-        if (dbgHook)
-            dbgHook->onStore(a);
-        if (a >= sramBase && a > dataLimitV) {
-            trap_kind = TrapKind::SramOutOfBounds;
-            trap_addr = a;
-            return;
+        void store(uint16_t a, uint8_t v)
+        {
+            if (m.dbgHook)
+                m.dbgHook->onStore(a);
+            if (a >= sramBase && a > m.dataLimitV) {
+                raise(TrapKind::SramOutOfBounds, a);
+                return;
+            }
+            m.writeData(a, v);
         }
-        writeData(a, v);
-    };
-    auto pushG = [&](uint8_t v) {
-        uint16_t a = sp();
-        if (a < stackGuardV) {
-            trap_kind = TrapKind::StackOverflow;
-            trap_addr = a;
-            return;
-        }
-        stG(a, v);
-        if (trap_kind == TrapKind::None)
-            setSp(a - 1);
-    };
-    auto popG = [&]() -> uint8_t {
-        setSp(sp() + 1);
-        return ldG(sp());
-    };
-    auto pushPcG = [&](uint32_t ret) {
-        // Low byte pushed first, high byte second (popped in reverse).
-        pushG(static_cast<uint8_t>(ret));
-        pushG(static_cast<uint8_t>(ret >> 8));
-    };
-    auto popPcG = [&]() -> uint32_t {
-        uint32_t hi = popG();
-        uint32_t lo = popG();
-        return (hi << 8) | lo;
-    };
+        uint8_t in(uint8_t port) { return m.readData(ioBase + port); }
+        void out(uint8_t port, uint8_t v) { m.writeData(ioBase + port, v); }
+        uint16_t sp() const { return m.sp(); }
+        void setSp(uint16_t v) { m.setSp(v); }
+        uint16_t stackGuard() const { return m.stackGuardV; }
+    } mem{{}, *this};
 
     switch (inst.op) {
-      case Op::ADD: {
-        uint8_t d = regs[inst.rd], s = regs[inst.rr];
-        uint8_t r = d + s;
-        regs[inst.rd] = r;
-        addFlags(d, s, r);
+      case Op::ADD: case Op::ADC: case Op::SUB: case Op::SBC:
+      case Op::AND: case Op::OR: case Op::EOR: case Op::MOV:
+      case Op::CP: case Op::CPC:
+        dp::alu(inst.op, regs, inst.rd, regs[inst.rr], sregBits);
         break;
-      }
-      case Op::ADC: {
-        uint8_t d = regs[inst.rd], s = regs[inst.rr];
-        uint8_t r = d + s + (flag(fC) ? 1 : 0);
-        regs[inst.rd] = r;
-        addFlags(d, s, r);
+      case Op::SUBI: case Op::SBCI: case Op::ANDI: case Op::ORI:
+      case Op::CPI: case Op::LDI:
+        dp::alu(inst.op, regs, inst.rd, inst.imm, sregBits);
         break;
-      }
-      case Op::SUB: {
-        uint8_t d = regs[inst.rd], s = regs[inst.rr];
-        uint8_t r = d - s;
-        regs[inst.rd] = r;
-        subFlags(d, s, r, false);
-        break;
-      }
-      case Op::SBC: {
-        uint8_t d = regs[inst.rd], s = regs[inst.rr];
-        uint8_t r = d - s - (flag(fC) ? 1 : 0);
-        regs[inst.rd] = r;
-        subFlags(d, s, r, true);
-        break;
-      }
-      case Op::SUBI: {
-        uint8_t d = regs[inst.rd];
-        uint8_t r = d - inst.imm;
-        regs[inst.rd] = r;
-        subFlags(d, inst.imm, r, false);
-        break;
-      }
-      case Op::SBCI: {
-        uint8_t d = regs[inst.rd];
-        uint8_t r = d - inst.imm - (flag(fC) ? 1 : 0);
-        regs[inst.rd] = r;
-        subFlags(d, inst.imm, r, true);
-        break;
-      }
-      case Op::CP: {
-        uint8_t d = regs[inst.rd], s = regs[inst.rr];
-        subFlags(d, s, d - s, false);
-        break;
-      }
-      case Op::CPC: {
-        uint8_t d = regs[inst.rd], s = regs[inst.rr];
-        uint8_t r = d - s - (flag(fC) ? 1 : 0);
-        subFlags(d, s, r, true);
-        break;
-      }
-      case Op::CPI: {
-        uint8_t d = regs[inst.rd];
-        subFlags(d, inst.imm, d - inst.imm, false);
-        break;
-      }
-      case Op::AND: case Op::ANDI: {
-        uint8_t s = inst.op == Op::AND ? regs[inst.rr] : inst.imm;
-        uint8_t r = regs[inst.rd] & s;
-        regs[inst.rd] = r;
-        setFlag(fV, false);
-        setZns(r);
-        break;
-      }
-      case Op::OR: case Op::ORI: {
-        uint8_t s = inst.op == Op::OR ? regs[inst.rr] : inst.imm;
-        uint8_t r = regs[inst.rd] | s;
-        regs[inst.rd] = r;
-        setFlag(fV, false);
-        setZns(r);
-        break;
-      }
-      case Op::EOR: {
-        uint8_t r = regs[inst.rd] ^ regs[inst.rr];
-        regs[inst.rd] = r;
-        setFlag(fV, false);
-        setZns(r);
-        break;
-      }
-      case Op::MOV:
-        regs[inst.rd] = regs[inst.rr];
+      case Op::MUL: case Op::MULS: case Op::MULSU:
+      case Op::FMUL: case Op::FMULS: case Op::FMULSU:
+        dp::mul(inst.op, regs, inst.rd, inst.rr, sregBits);
         break;
       case Op::MOVW:
-        regs[inst.rd] = regs[inst.rr];
-        regs[inst.rd + 1] = regs[inst.rr + 1];
+        dp::movw(regs, inst.rd, inst.rr);
         break;
-      case Op::LDI:
-        regs[inst.rd] = inst.imm;
+      case Op::ADIW: case Op::SBIW:
+        dp::wide(inst.op, regs, inst.rd, inst.imm, sregBits);
         break;
-      case Op::ADIW: {
-        uint16_t d = regPair(inst.rd);
-        uint16_t r = d + inst.imm;
-        setRegPair(inst.rd, r);
-        setFlag(fV, !(d & 0x8000) && (r & 0x8000));
-        setFlag(fC, !(r & 0x8000) && (d & 0x8000));
-        setFlag(fN, r & 0x8000);
-        setFlag(fZ, r == 0);
-        setFlag(fS, flag(fN) != flag(fV));
-        break;
-      }
-      case Op::SBIW: {
-        uint16_t d = regPair(inst.rd);
-        uint16_t r = d - inst.imm;
-        setRegPair(inst.rd, r);
-        setFlag(fV, (d & 0x8000) && !(r & 0x8000));
-        setFlag(fC, (r & 0x8000) && !(d & 0x8000));
-        setFlag(fN, r & 0x8000);
-        setFlag(fZ, r == 0);
-        setFlag(fS, flag(fN) != flag(fV));
-        break;
-      }
-      case Op::MUL: {
-        uint16_t p = static_cast<uint16_t>(regs[inst.rd]) * regs[inst.rr];
-        regs[0] = static_cast<uint8_t>(p);
-        regs[1] = static_cast<uint8_t>(p >> 8);
-        setFlag(fC, p & 0x8000);
-        setFlag(fZ, p == 0);
-        break;
-      }
-      case Op::MULS: {
-        int16_t p = static_cast<int16_t>(static_cast<int8_t>(regs[inst.rd])) *
-                    static_cast<int8_t>(regs[inst.rr]);
-        uint16_t u = static_cast<uint16_t>(p);
-        regs[0] = static_cast<uint8_t>(u);
-        regs[1] = static_cast<uint8_t>(u >> 8);
-        setFlag(fC, u & 0x8000);
-        setFlag(fZ, u == 0);
-        break;
-      }
-      case Op::MULSU: {
-        int16_t p = static_cast<int16_t>(static_cast<int8_t>(regs[inst.rd])) *
-                    static_cast<uint8_t>(regs[inst.rr]);
-        uint16_t u = static_cast<uint16_t>(p);
-        regs[0] = static_cast<uint8_t>(u);
-        regs[1] = static_cast<uint8_t>(u >> 8);
-        setFlag(fC, u & 0x8000);
-        setFlag(fZ, u == 0);
-        break;
-      }
-      case Op::FMUL: case Op::FMULS: case Op::FMULSU: {
-        int32_t p;
-        if (inst.op == Op::FMUL)
-            p = static_cast<uint16_t>(regs[inst.rd]) * regs[inst.rr];
-        else if (inst.op == Op::FMULS)
-            p = static_cast<int8_t>(regs[inst.rd]) *
-                static_cast<int8_t>(regs[inst.rr]);
-        else
-            p = static_cast<int8_t>(regs[inst.rd]) * regs[inst.rr];
-        uint16_t u = static_cast<uint16_t>(p);
-        setFlag(fC, u & 0x8000);
-        u <<= 1;
-        regs[0] = static_cast<uint8_t>(u);
-        regs[1] = static_cast<uint8_t>(u >> 8);
-        setFlag(fZ, u == 0);
-        break;
-      }
-      case Op::COM: {
-        uint8_t r = ~regs[inst.rd];
-        regs[inst.rd] = r;
-        setFlag(fC, true);
-        setFlag(fV, false);
-        setZns(r);
-        break;
-      }
-      case Op::NEG: {
-        uint8_t d = regs[inst.rd];
-        uint8_t r = -d;
-        regs[inst.rd] = r;
-        subFlags(0, d, r, false);
-        break;
-      }
-      case Op::SWAP: {
-        uint8_t d = regs[inst.rd];
+      case Op::SWAP:
+        // Alg. 1: in swap mode the low nibble enters the MAC first.
         if (swap_mac)
-            macUnit.macSwap(regs, d & 0x0f);
-        regs[inst.rd] = static_cast<uint8_t>((d << 4) | (d >> 4));
+            macUnit.macSwap(regs, regs[inst.rd] & 0x0f);
+        [[fallthrough]];
+      case Op::COM: case Op::NEG: case Op::INC: case Op::DEC:
+      case Op::ASR: case Op::LSR: case Op::ROR:
+        dp::unary(inst.op, regs, inst.rd, sregBits);
         break;
-      }
-      case Op::INC: {
-        uint8_t r = regs[inst.rd] + 1;
-        regs[inst.rd] = r;
-        setFlag(fV, r == 0x80);
-        setZns(r);
+      case Op::BSET: case Op::BCLR: case Op::BLD: case Op::BST:
+        dp::bitOp(inst.op, regs, inst.rd, inst.bit, sregBits);
         break;
-      }
-      case Op::DEC: {
-        uint8_t r = regs[inst.rd] - 1;
-        regs[inst.rd] = r;
-        setFlag(fV, r == 0x7f);
-        setZns(r);
+      case Op::IN: case Op::OUT: case Op::SBI: case Op::CBI:
+        dp::io(inst.op, regs, inst.rd, inst.imm, inst.bit, mem);
         break;
-      }
-      case Op::ASR: {
-        uint8_t d = regs[inst.rd];
-        uint8_t r = static_cast<uint8_t>((d >> 1) | (d & 0x80));
-        regs[inst.rd] = r;
-        setFlag(fC, d & 1);
-        setFlag(fN, r & 0x80);
-        setFlag(fV, flag(fN) != flag(fC));
-        setFlag(fZ, r == 0);
-        setFlag(fS, flag(fN) != flag(fV));
+      case Op::SBIC: case Op::SBIS:
+        skip = dp::skipTaken(inst.op, mem.in(inst.imm), 0, inst.bit);
         break;
-      }
-      case Op::LSR: {
-        uint8_t d = regs[inst.rd];
-        uint8_t r = d >> 1;
-        regs[inst.rd] = r;
-        setFlag(fC, d & 1);
-        setFlag(fN, false);
-        setFlag(fV, flag(fN) != flag(fC));
-        setFlag(fZ, r == 0);
-        setFlag(fS, flag(fN) != flag(fV));
-        break;
-      }
-      case Op::ROR: {
-        uint8_t d = regs[inst.rd];
-        uint8_t r = static_cast<uint8_t>((d >> 1) | (flag(fC) ? 0x80 : 0));
-        regs[inst.rd] = r;
-        setFlag(fC, d & 1);
-        setFlag(fN, r & 0x80);
-        setFlag(fV, flag(fN) != flag(fC));
-        setFlag(fZ, r == 0);
-        setFlag(fS, flag(fN) != flag(fV));
-        break;
-      }
-      case Op::BSET:
-        setFlag(inst.bit, true);
-        break;
-      case Op::BCLR:
-        setFlag(inst.bit, false);
-        break;
-      case Op::BLD:
-        if (flag(fT))
-            regs[inst.rd] |= 1u << inst.bit;
-        else
-            regs[inst.rd] &= ~(1u << inst.bit);
-        break;
-      case Op::BST:
-        setFlag(fT, regs[inst.rd] & (1u << inst.bit));
-        break;
-      case Op::SBI:
-        writeData(ioBase + inst.imm,
-                  readData(ioBase + inst.imm) | (1u << inst.bit));
-        break;
-      case Op::CBI:
-        writeData(ioBase + inst.imm,
-                  readData(ioBase + inst.imm) & ~(1u << inst.bit));
-        break;
-      case Op::SBIC: case Op::SBIS: {
-        bool bit = readData(ioBase + inst.imm) & (1u << inst.bit);
-        bool skip = inst.op == Op::SBIS ? bit : !bit;
-        if (skip) {
-            bool two = isTwoWord(fetch(next_pc));
-            cycles += skipExtra(two);
-            next_pc += two ? 2 : 1;
-        }
-        break;
-      }
-      case Op::IN:
-        regs[inst.rd] = readData(ioBase + inst.imm);
-        break;
-      case Op::OUT:
-        writeData(ioBase + inst.imm, regs[inst.rd]);
+      case Op::CPSE: case Op::SBRC: case Op::SBRS:
+        skip = dp::skipTaken(inst.op, regs[inst.rd], regs[inst.rr],
+                             inst.bit);
         break;
 
-      case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC: {
-        uint16_t a = x();
-        if (inst.op == Op::LD_X_DEC)
-            setX(--a);
-        uint8_t v = ldG(a);
-        regs[inst.rd] = v;
-        if (inst.op == Op::LD_X_INC)
-            setX(a + 1);
-        ld_trigger(v, inst.rd);
+      case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC:
+      case Op::LDD_Y: case Op::LD_Y_INC: case Op::LD_Y_DEC:
+      case Op::LDD_Z: case Op::LD_Z_INC: case Op::LD_Z_DEC:
+        dp::load(inst.op, regs, inst.rd, inst.disp, mem);
         break;
-      }
-      case Op::LD_Y_INC: case Op::LD_Y_DEC: case Op::LDD_Y: {
-        uint16_t a = y();
-        if (inst.op == Op::LD_Y_DEC)
-            setY(--a);
-        else if (inst.op == Op::LDD_Y)
-            a += inst.disp;
-        uint8_t v = ldG(a);
-        regs[inst.rd] = v;
-        if (inst.op == Op::LD_Y_INC)
-            setY(a + 1);
-        ld_trigger(v, inst.rd);
+      case Op::LDS:
+        dp::load(inst.op, regs, inst.rd, inst.k, mem);
         break;
-      }
-      case Op::LD_Z_INC: case Op::LD_Z_DEC: case Op::LDD_Z: {
-        uint16_t a = z();
-        if (inst.op == Op::LD_Z_DEC)
-            setZ(--a);
-        else if (inst.op == Op::LDD_Z)
-            a += inst.disp;
-        uint8_t v = ldG(a);
-        regs[inst.rd] = v;
-        if (inst.op == Op::LD_Z_INC)
-            setZ(a + 1);
-        ld_trigger(v, inst.rd);
+      case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC:
+      case Op::STD_Y: case Op::ST_Y_INC: case Op::ST_Y_DEC:
+      case Op::STD_Z: case Op::ST_Z_INC: case Op::ST_Z_DEC:
+        dp::store(inst.op, regs, inst.rd, inst.disp, mem);
         break;
-      }
-      case Op::LDS: {
-        uint8_t v = ldG(static_cast<uint16_t>(inst.k));
-        regs[inst.rd] = v;
-        ld_trigger(v, inst.rd);
-        break;
-      }
-      case Op::ST_X: case Op::ST_X_INC: case Op::ST_X_DEC: {
-        uint16_t a = x();
-        if (inst.op == Op::ST_X_DEC)
-            setX(--a);
-        stG(a, regs[inst.rd]);
-        if (inst.op == Op::ST_X_INC)
-            setX(a + 1);
-        break;
-      }
-      case Op::ST_Y_INC: case Op::ST_Y_DEC: case Op::STD_Y: {
-        uint16_t a = y();
-        if (inst.op == Op::ST_Y_DEC)
-            setY(--a);
-        else if (inst.op == Op::STD_Y)
-            a += inst.disp;
-        stG(a, regs[inst.rd]);
-        if (inst.op == Op::ST_Y_INC)
-            setY(a + 1);
-        break;
-      }
-      case Op::ST_Z_INC: case Op::ST_Z_DEC: case Op::STD_Z: {
-        uint16_t a = z();
-        if (inst.op == Op::ST_Z_DEC)
-            setZ(--a);
-        else if (inst.op == Op::STD_Z)
-            a += inst.disp;
-        stG(a, regs[inst.rd]);
-        if (inst.op == Op::ST_Z_INC)
-            setZ(a + 1);
-        break;
-      }
       case Op::STS:
-        stG(static_cast<uint16_t>(inst.k), regs[inst.rd]);
+        dp::store(inst.op, regs, inst.rd, inst.k, mem);
         break;
       case Op::PUSH:
-        pushG(regs[inst.rd]);
+        dp::push(mem, regs[inst.rd]);
         break;
       case Op::POP:
-        regs[inst.rd] = popG();
+        regs[inst.rd] = dp::pop(mem);
         break;
-      case Op::LPM_R0: case Op::LPM: case Op::LPM_INC: {
-        uint16_t a = z();
-        uint16_t w = flash[(a >> 1) & (flashWords - 1)];
-        uint8_t v = (a & 1) ? static_cast<uint8_t>(w >> 8)
-                            : static_cast<uint8_t>(w);
-        uint8_t rd = inst.op == Op::LPM_R0 ? 0 : inst.rd;
-        regs[rd] = v;
-        if (inst.op == Op::LPM_INC)
-            setZ(a + 1);
+      case Op::LPM_R0: case Op::LPM: case Op::LPM_INC:
+        dp::lpm(inst.op, regs, inst.rd, flash.data());
         break;
-      }
 
       case Op::RJMP:
         next_pc = pc0 + 1 + inst.disp;
         break;
       case Op::RCALL:
-        pushPcG(pc0 + 1);
+        dp::pushPc(mem, pc0 + 1);
         next_pc = pc0 + 1 + inst.disp;
         break;
       case Op::JMP:
         next_pc = inst.k;
         break;
       case Op::CALL:
-        pushPcG(pc0 + 2);
+        dp::pushPc(mem, pc0 + 2);
         next_pc = inst.k;
         break;
       case Op::IJMP:
         next_pc = z();
         break;
       case Op::ICALL:
-        pushPcG(pc0 + 1);
+        dp::pushPc(mem, pc0 + 1);
         next_pc = z();
         break;
       case Op::RET: case Op::RETI:
-        next_pc = popPcG();
-        if (inst.op == Op::RETI)
-            setFlag(fI, true);
+        next_pc = dp::ret(inst.op, mem, sregBits);
         break;
-      case Op::BRBS:
-        if (flag(inst.bit)) {
+      case Op::BRBS: case Op::BRBC:
+        if (dp::branchTaken(inst.op, sregBits, inst.bit)) {
             next_pc = pc0 + 1 + inst.disp;
             cycles += branchTakenExtra;
         }
         break;
-      case Op::BRBC:
-        if (!flag(inst.bit)) {
-            next_pc = pc0 + 1 + inst.disp;
-            cycles += branchTakenExtra;
-        }
-        break;
-      case Op::CPSE: case Op::SBRC: case Op::SBRS: {
-        bool skip;
-        if (inst.op == Op::CPSE)
-            skip = regs[inst.rd] == regs[inst.rr];
-        else if (inst.op == Op::SBRC)
-            skip = !(regs[inst.rd] & (1u << inst.bit));
-        else
-            skip = regs[inst.rd] & (1u << inst.bit);
-        if (skip) {
-            bool two = isTwoWord(fetch(next_pc));
-            cycles += skipExtra(two);
-            next_pc += two ? 2 : 1;
-        }
-        break;
-      }
 
       case Op::NOP: case Op::SLEEP: case Op::WDR: case Op::BREAK:
         break;
@@ -930,13 +495,27 @@ Machine::step()
       case Op::INVALID:
         break;
     }
+    if (skip) {
+        bool two = isTwoWord(fetch(next_pc));
+        cycles += skipExtra(two);
+        next_pc += two ? 2 : 1;
+    }
+
+    // Alg. 2: a load into R24 feeds the loaded byte through the MAC.
+    // The two micro-MACs are applied immediately; the shadow counter
+    // plus the hazard checks above make that indistinguishable from
+    // the real one-per-following-cycle retirement. A trapping load
+    // triggers too (on the 0xff it left), as on the superblock path.
+    const bool mac_triggered = load_mac && firesLoadMac(inst);
+    if (mac_triggered)
+        macUnit.macLoad(regs, regs[24]);
 
     // A trapping instruction does not retire: PC, shadow and
     // statistics stay as of just before it (partial side effects
     // like a pre-decremented pointer remain, identically on the
     // superblock backend).
-    if (trap_kind != TrapKind::None) {
-        pendingTrap = Trap{trap_kind, pc0, trap_addr};
+    if (mem.raised()) {
+        pendingTrap = Trap{mem.kind, pc0, mem.addr};
         return 0;
     }
 
@@ -1076,11 +655,23 @@ Machine::run(uint64_t max_cycles)
     return {execStats.cycles - start, pendingTrap};
 }
 
+void
+Machine::enterRoutine(uint32_t word_addr)
+{
+    // The return address exitAddress, low byte first, SP decrementing
+    // after each byte (unguarded: the harness owns the stack here).
+    for (uint8_t byte : {static_cast<uint8_t>(exitAddress),
+                         static_cast<uint8_t>(exitAddress >> 8)}) {
+        writeData(sp(), byte);
+        setSp(sp() - 1);
+    }
+    pcWord = word_addr & 0xffff;
+}
+
 RunResult
 Machine::call(uint32_t word_addr, uint64_t max_cycles)
 {
-    pushPc(exitAddress);
-    pcWord = word_addr & 0xffff;
+    enterRoutine(word_addr);
     // Synthetic call event so profilers see the routine entered from
     // the harness; the final RET to exitAddress closes it.
     if (profSink)

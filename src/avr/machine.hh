@@ -254,8 +254,6 @@ struct DecodedInst
     Inst inst;
     uint8_t cycles = 1;       ///< baseCycles(inst.op, mode)
     bool touchesMac = false;  ///< reads/writes {R0..R8, R16..R19}
-    bool macLoadForm = false; ///< Algorithm-2 trigger shape (load to R24)
-    Synonym synonym = Synonym::None; ///< canonicalized alias encoding
 };
 
 class Machine
@@ -328,10 +326,13 @@ class Machine
      *
      * This is the *reference* path: it re-fetches and re-decodes the
      * flash words on every call and evaluates the mode/trace/MAC
-     * branches at run time. run() normally executes through the
-     * superblock backend instead, which is validated against this
-     * implementation (tests/test_superblock.cc,
-     * tests/test_decode_cache.cc).
+     * branches at run time. What each instruction computes comes from
+     * avr/datapath.hh, which the superblock handlers share and
+     * tests/test_machine_alu_exhaustive.cc checks against the
+     * instruction-set manual. run() normally executes through the
+     * superblock backend, whose own decoding, dispatch and MAC
+     * handling tests/test_superblock.cc and tests/test_decode_cache.cc
+     * pin to this loop.
      */
     unsigned step();
 
@@ -354,6 +355,13 @@ class Machine
      */
     RunResult call(uint32_t word_addr,
                    uint64_t max_cycles = defaultCycleBudget);
+
+    /**
+     * Push the exit sentinel as a return address and set PC to
+     * @p word_addr: the frame call() runs a routine in, for callers
+     * that drive execution themselves (the debugger's setupCall).
+     */
+    void enterRoutine(uint32_t word_addr);
 
     /** Trap raised by the last step()/run()/call(), kind None if
      *  execution completed cleanly. Cleared by run()/call()/reset(). */
@@ -503,27 +511,8 @@ class Machine
     void setBackend(IssBackend b) { backendV = b; }
 
   private:
-    // SREG bit indices.
-    static constexpr unsigned fC = 0, fZ = 1, fN = 2, fV = 3, fS = 4,
-                              fH = 5, fT = 6, fI = 7;
-
-    bool flag(unsigned f) const { return (sregBits >> f) & 1; }
-    void setFlag(unsigned f, bool v);
-
-    void setZns(uint8_t r);
-    void addFlags(uint8_t d, uint8_t s, uint8_t r);
-    void subFlags(uint8_t d, uint8_t s, uint8_t r, bool keep_z);
-
-    void push8(uint8_t v);
-    uint8_t pop8();
-    void pushPc(uint32_t pc);
-    uint32_t popPc();
-
     /** True if @p inst reads or writes the MAC hazard register set. */
     bool touchesMacRegs(const Inst &inst) const;
-
-    /** Algorithm-2 trigger: apply the two shadow MACs for @p value. */
-    void triggerLoadMac(uint8_t value);
 
     uint16_t fetch(uint32_t word_addr) const;
 

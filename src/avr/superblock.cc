@@ -3,13 +3,17 @@
  * Superblock translation and the trace-threaded run loop
  * (DESIGN.md §11).
  *
- * Machine::runSuperblock() is the fast ISS path in every CPU mode:
- * its handlers implement the semantics of Machine::step() instruction
- * for instruction, and tests/test_superblock.cc pins the two to bit-
- * and cycle-identical state over all 65536 opcode words (CA, FAST and
- * ISE under every MACCR mode, with and without a MAC shadow pending
- * at entry) and the OPF/secp160 workloads. What changes is the
- * execution structure:
+ * Machine::runSuperblock() is the fast ISS path in every CPU mode.
+ * Its handlers execute the same datapath as Machine::step(): each is
+ * one call into avr/datapath.hh with its Op as a constant, which
+ * tests/test_machine_alu_exhaustive.cc checks against the
+ * instruction-set manual on both backends. tests/test_superblock.cc
+ * pins the two backends to bit- and cycle-identical state over all
+ * 65536 opcode words (CA, FAST and ISE under every MACCR mode, with
+ * and without a MAC shadow pending at entry) and the OPF/secp160
+ * workloads, which checks what the backends do not share: decoding,
+ * dispatch, MAC decisions and accounting. What differs from step() is
+ * the execution structure:
  *
  *  - dispatch is computed-goto threaded over pre-translated traces
  *    (SbInst carries the handler label and pre-extracted operands);
@@ -53,7 +57,7 @@
 
 #include <unordered_set>
 
-#include "avr/flags.hh"
+#include "avr/datapath.hh"
 #include "avr/mac_unit.hh"
 #include "avr/machine.hh"
 #include "avr/timing.hh"
@@ -67,25 +71,6 @@ namespace
 /** MACCR bits that select the MAC trigger algorithms. */
 constexpr uint8_t kMacModeBits =
     MacUnit::ctrlSwapMode | MacUnit::ctrlLoadMode;
-
-/**
- * Alg. 2 trigger in load mode: step() fires it on every data-space
- * load into R24, while only the DecodedInst::macLoadForm subset is
- * exempt from the shadow hazard rule.
- */
-bool
-loadsR24(const Inst &inst)
-{
-    switch (inst.op) {
-      case Op::LD_X: case Op::LD_X_INC: case Op::LD_X_DEC:
-      case Op::LDD_Y: case Op::LD_Y_INC: case Op::LD_Y_DEC:
-      case Op::LDD_Z: case Op::LD_Z_INC: case Op::LD_Z_DEC:
-      case Op::LDS:
-        return inst.rd == 24;
-      default:
-        return false;
-    }
-}
 
 /** MAC shadow left after an element with shadow @p s retires in @p c. */
 constexpr uint8_t
@@ -147,8 +132,8 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t mode,
         const Inst &inst = dc.inst;
         // Alg. 2: an R24 load in load mode triggers two MACs. The
         // reference hazard rule, evaluated on the static shadow.
-        const bool r24_trigger = load_mac && loadsR24(inst);
-        const bool r24_exempt = load_mac && dc.macLoadForm;
+        const bool r24_trigger = load_mac && firesLoadMac(inst);
+        const bool r24_exempt = load_mac && macShadowExempt(inst);
         const bool hazard = (shadow > 0 && dc.touchesMac && !r24_exempt) ||
                             (shadow >= 2 && r24_exempt);
         SbInst si;
@@ -170,8 +155,16 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t mode,
         }
         si.op = static_cast<uint8_t>(inst.op);
         si.a = inst.rd;
-        si.b = inst.rr;
-        si.imm = inst.imm;
+        // Rr, or the bit number: no instruction has both.
+        si.b = inst.rr | inst.bit;
+        // The datapath reads LDD/STD's displacement and LDS/STS's
+        // address from imm.
+        if (inst.op == Op::LDS || inst.op == Op::STS)
+            si.imm = static_cast<uint16_t>(inst.k);
+        else if (isLoadOp(inst.op) || isStoreOp(inst.op))
+            si.imm = static_cast<uint16_t>(inst.disp);
+        else
+            si.imm = inst.imm;
         si.cycles = dc.cycles;
         // Where translation continues after this element retires.
         uint32_t next = (pc + inst.words) & 0xffff;
@@ -180,122 +173,29 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t mode,
         // depend only on the skipped word's length, which the decode
         // cache knows; flash writes invalidate the whole cache, so
         // baking it in is safe.
-        auto skip = [&] {
+        auto skip = [&](SbOp op) {
             bool two = m.decoded(next).inst.words == 2;
             si.extra = static_cast<uint8_t>(skipExtra(two));
             si.target = (next + (two ? 2u : 1u)) & 0xffff;
+            return op;
         };
 
         SbOp h = SbOp::NOPLIKE;
         switch (inst.op) {
-          // Canonicalized synonym encodings get specialized
-          // single-operand handlers (see Synonym in avr/isa.hh).
-          case Op::ADD:
-            h = dc.synonym == Synonym::LSL ? SbOp::LSL : SbOp::ADD;
-            break;
-          case Op::ADC:
-            h = dc.synonym == Synonym::ROL ? SbOp::ROL : SbOp::ADC;
-            break;
-          case Op::AND:
-            h = dc.synonym == Synonym::TST ? SbOp::TST : SbOp::AND;
-            break;
-          case Op::EOR:
-            h = dc.synonym == Synonym::CLR ? SbOp::CLR : SbOp::EOR;
-            break;
-          case Op::SUB: h = SbOp::SUB; break;
-          case Op::SBC: h = SbOp::SBC; break;
-          case Op::OR: h = SbOp::OR; break;
-          case Op::MOV: h = SbOp::MOV; break;
-          case Op::CP: h = SbOp::CP; break;
-          case Op::CPC: h = SbOp::CPC; break;
-          case Op::MUL: h = SbOp::MUL; break;
-          case Op::MULS: h = SbOp::MULS; break;
-          case Op::MULSU: h = SbOp::MULSU; break;
-          case Op::FMUL: h = SbOp::FMUL; break;
-          case Op::FMULS: h = SbOp::FMULS; break;
-          case Op::FMULSU: h = SbOp::FMULSU; break;
-          case Op::MOVW: h = SbOp::MOVW; break;
-          case Op::SUBI: h = SbOp::SUBI; break;
-          case Op::SBCI: h = SbOp::SBCI; break;
-          case Op::ANDI: h = SbOp::ANDI; break;
-          case Op::ORI: h = SbOp::ORI; break;
-          case Op::CPI: h = SbOp::CPI; break;
-          case Op::LDI: h = SbOp::LDI; break;
-          case Op::ADIW: h = SbOp::ADIW; break;
-          case Op::SBIW: h = SbOp::SBIW; break;
-          case Op::COM: h = SbOp::COM; break;
-          case Op::NEG: h = SbOp::NEG; break;
+#define X(n)                                                            \
+          case Op::n: h = SbOp::n; break;
+          JAAVR_SB_DATAPATH_OPS(X)
+#undef X
           case Op::SWAP:
             // Alg. 1: in swap mode every SWAP feeds its low nibble
             // through the MAC.
             h = swap_mac ? SbOp::SWAP_MAC : SbOp::SWAP;
             break;
-          case Op::INC: h = SbOp::INC; break;
-          case Op::DEC: h = SbOp::DEC; break;
-          case Op::ASR: h = SbOp::ASR; break;
-          case Op::LSR: h = SbOp::LSR; break;
-          case Op::ROR: h = SbOp::ROR; break;
-          case Op::BSET: si.a = inst.bit; h = SbOp::BSET; break;
-          case Op::BCLR: si.a = inst.bit; h = SbOp::BCLR; break;
-          case Op::BLD: si.b = inst.bit; h = SbOp::BLD; break;
-          case Op::BST: si.b = inst.bit; h = SbOp::BST; break;
-          case Op::SBI: si.b = inst.bit; h = SbOp::SBI; break;
-          case Op::CBI: si.b = inst.bit; h = SbOp::CBI; break;
-          case Op::SBIC:
-            si.b = inst.bit;
-            skip();
-            h = SbOp::SKIP_SBIC;
-            break;
-          case Op::SBIS:
-            si.b = inst.bit;
-            skip();
-            h = SbOp::SKIP_SBIS;
-            break;
-          case Op::IN: h = SbOp::IN; break;
-          case Op::OUT: h = SbOp::OUT; break;
-          case Op::LD_X: h = SbOp::LD_X; break;
-          case Op::LD_X_INC: h = SbOp::LD_X_INC; break;
-          case Op::LD_X_DEC: h = SbOp::LD_X_DEC; break;
-          case Op::LDD_Y:
-            si.imm = static_cast<uint16_t>(inst.disp);
-            h = SbOp::LDD_Y;
-            break;
-          case Op::LD_Y_INC: h = SbOp::LD_Y_INC; break;
-          case Op::LD_Y_DEC: h = SbOp::LD_Y_DEC; break;
-          case Op::LDD_Z:
-            si.imm = static_cast<uint16_t>(inst.disp);
-            h = SbOp::LDD_Z;
-            break;
-          case Op::LD_Z_INC: h = SbOp::LD_Z_INC; break;
-          case Op::LD_Z_DEC: h = SbOp::LD_Z_DEC; break;
-          case Op::LDS:
-            si.addr = static_cast<uint16_t>(inst.k);
-            h = SbOp::LDS;
-            break;
-          case Op::ST_X: h = SbOp::ST_X; break;
-          case Op::ST_X_INC: h = SbOp::ST_X_INC; break;
-          case Op::ST_X_DEC: h = SbOp::ST_X_DEC; break;
-          case Op::STD_Y:
-            si.imm = static_cast<uint16_t>(inst.disp);
-            h = SbOp::STD_Y;
-            break;
-          case Op::ST_Y_INC: h = SbOp::ST_Y_INC; break;
-          case Op::ST_Y_DEC: h = SbOp::ST_Y_DEC; break;
-          case Op::STD_Z:
-            si.imm = static_cast<uint16_t>(inst.disp);
-            h = SbOp::STD_Z;
-            break;
-          case Op::ST_Z_INC: h = SbOp::ST_Z_INC; break;
-          case Op::ST_Z_DEC: h = SbOp::ST_Z_DEC; break;
-          case Op::STS:
-            si.addr = static_cast<uint16_t>(inst.k);
-            h = SbOp::STS;
-            break;
-          case Op::PUSH: h = SbOp::PUSH; break;
-          case Op::POP: h = SbOp::POP; break;
-          case Op::LPM_R0: h = SbOp::LPM_R0; break;
-          case Op::LPM: h = SbOp::LPM; break;
-          case Op::LPM_INC: h = SbOp::LPM_INC; break;
+          case Op::SBIC: h = skip(SbOp::SKIP_SBIC); break;
+          case Op::SBIS: h = skip(SbOp::SKIP_SBIS); break;
+          case Op::CPSE: h = skip(SbOp::SKIP_CPSE); break;
+          case Op::SBRC: h = skip(SbOp::SKIP_SBRC); break;
+          case Op::SBRS: h = skip(SbOp::SKIP_SBRS); break;
           case Op::NOP:
             // A NOP retired inside a MAC shadow is a hazard stall.
             h = shadow > 0 ? SbOp::STALL_NOP : SbOp::NOPLIKE;
@@ -330,23 +230,8 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t mode,
             break;
 
           case Op::BRBS: case Op::BRBC:
-            si.a = inst.bit;
             si.target = (pc + 1 + inst.disp) & 0xffff;
             h = inst.op == Op::BRBS ? SbOp::BRBS : SbOp::BRBC;
-            break;
-          case Op::CPSE:
-            skip();
-            h = SbOp::SKIP_CPSE;
-            break;
-          case Op::SBRC:
-            si.b = inst.bit;
-            skip();
-            h = SbOp::SKIP_SBRC;
-            break;
-          case Op::SBRS:
-            si.b = inst.bit;
-            skip();
-            h = SbOp::SKIP_SBRS;
             break;
 
           // Indirect control flow retires, then ends the trace.
@@ -418,33 +303,14 @@ Machine::runSuperblock(uint64_t max_cycles)
     uint64_t consumed = 0;
     uint64_t insts = 0;
     uint32_t pc = pcWord;
-    const uint16_t data_limit = dataLimitV;
-    const uint16_t stack_guard = stackGuardV;
     const bool ise = cpuMode == CpuMode::ISE;
-    // Set by the guarded access lambdas; checked once per retired
-    // instruction. Never reset: the loop exits on the first trap.
-    TrapKind trap_kind = TrapKind::None;
-    uint16_t trap_addr = 0;
-    // Set by a slow-path (I/O space) store; rechecked at retirement
-    // so a store that may have changed MACCR side-exits the trace.
-    bool io_dirty = false;
 
     uint8_t sreg = sregBits;
     std::array<uint8_t, 32> r8 = regs;
     std::array<uint32_t, kNumOps> op_count{};
     std::array<uint32_t, kNumOps> op_extra{};
     const uint16_t *const flash_data = flash.data();
-    uint8_t *const sram_data = sram.data();
     SuperblockCache *const cache = sbCache.get();
-
-    auto pair = [&](unsigned i) -> uint16_t {
-        return static_cast<uint16_t>(r8[i]) |
-               (static_cast<uint16_t>(r8[i + 1]) << 8);
-    };
-    auto setPair = [&](unsigned i, uint16_t v) {
-        r8[i] = static_cast<uint8_t>(v);
-        r8[i + 1] = static_cast<uint8_t>(v >> 8);
-    };
 
     // Delta-based so the periodic flush cannot double-count; per-op
     // cycle totals are reconstructed as op_count * base + op_extra.
@@ -469,82 +335,85 @@ Machine::runSuperblock(uint64_t max_cycles)
         op_extra.fill(0);
     };
 
-    // Guarded data-space access, mirroring step()'s ldG/stG/pushG (no
-    // debug hooks here). The register/IO fallback syncs the local
-    // SREG around readData/writeData, which can touch SREG at 0x5f.
-    auto loadMem = [&](uint16_t a) -> uint8_t {
-        if (a >= sramBase) [[likely]] {
-            if (a > data_limit) [[unlikely]] {
-                trap_kind = TrapKind::SramOutOfBounds;
-                trap_addr = a;
-                return 0xff;
-            }
-            return sram_data[a - sramBase];
+    // The datapath's memory-access policy (step() has the guarded
+    // twin, plus the debug hook): SRAM directly, bounded by
+    // dataLimit; register-file and I/O addresses through
+    // readData/writeData with the locals synced around them, since
+    // those can touch the register file and SREG (0x5f). Its fault is
+    // checked once per retired instruction and never reset: the loop
+    // exits on the first trap. Every method is forced inline: an
+    // out-of-line call would let the addresses of sreg and r8 escape,
+    // and GCC would then reload them from memory after every byte
+    // store.
+    struct Mem : dp::Faults
+    {
+        Machine &m;
+        uint8_t &sreg;
+        std::array<uint8_t, 32> &r8;
+        uint8_t *const sram;
+        const uint16_t limit;
+        const uint16_t guard;
+        // Set by a slow-path (I/O space) store; rechecked at
+        // retirement so a store that may have changed MACCR
+        // side-exits the trace.
+        bool ioDirty = false;
+
+        [[gnu::always_inline]] uint8_t slowRead(uint16_t a)
+        {
+            m.sregBits = sreg;
+            m.regs = r8;
+            const uint8_t v = m.readData(a);
+            sreg = m.sregBits;
+            r8 = m.regs;
+            return v;
         }
-        sregBits = sreg;
-        regs = r8;
-        uint8_t v = readData(a);
-        sreg = sregBits;
-        r8 = regs;
-        return v;
-    };
-    auto storeMem = [&](uint16_t a, uint8_t v) {
-        if (a >= sramBase) [[likely]] {
-            if (a > data_limit) [[unlikely]] {
-                trap_kind = TrapKind::SramOutOfBounds;
-                trap_addr = a;
+        [[gnu::always_inline]] void slowWrite(uint16_t a, uint8_t v)
+        {
+            m.sregBits = sreg;
+            m.regs = r8;
+            m.writeData(a, v);
+            sreg = m.sregBits;
+            r8 = m.regs;
+            ioDirty = true;
+        }
+        [[gnu::always_inline]] uint8_t load(uint16_t a)
+        {
+            if (a >= sramBase) [[likely]] {
+                if (a > limit) [[unlikely]] {
+                    raise(TrapKind::SramOutOfBounds, a);
+                    return 0xff;
+                }
+                return sram[a - sramBase];
+            }
+            return slowRead(a);
+        }
+        [[gnu::always_inline]] void store(uint16_t a, uint8_t v)
+        {
+            if (a >= sramBase) [[likely]] {
+                if (a > limit) [[unlikely]] {
+                    raise(TrapKind::SramOutOfBounds, a);
+                    return;
+                }
+                sram[a - sramBase] = v;
                 return;
             }
-            sram_data[a - sramBase] = v;
-            return;
+            slowWrite(a, v);
         }
-        sregBits = sreg;
-        regs = r8;
-        writeData(a, v);
-        sreg = sregBits;
-        r8 = regs;
-        io_dirty = true;
-    };
-    auto ioRead = [&](uint8_t ioaddr) -> uint8_t {
-        sregBits = sreg;
-        regs = r8;
-        uint8_t v = readData(ioBase + ioaddr);
-        sreg = sregBits;
-        r8 = regs;
-        return v;
-    };
-    auto ioWrite = [&](uint8_t ioaddr, uint8_t v) {
-        sregBits = sreg;
-        regs = r8;
-        writeData(ioBase + ioaddr, v);
-        sreg = sregBits;
-        r8 = regs;
-        io_dirty = true;
-    };
-    auto pushB = [&](uint8_t v) {
-        uint16_t a = sp();
-        if (a < stack_guard) [[unlikely]] {
-            trap_kind = TrapKind::StackOverflow;
-            trap_addr = a;
-            return;
+        [[gnu::always_inline]] uint8_t in(uint8_t port)
+        {
+            return slowRead(ioBase + port);
         }
-        storeMem(a, v);
-        if (trap_kind == TrapKind::None) [[likely]]
-            setSp(a - 1);
-    };
-    auto popB = [&]() -> uint8_t {
-        setSp(sp() + 1);
-        return loadMem(sp());
-    };
-    auto pushRet = [&](uint32_t ret) {
-        pushB(static_cast<uint8_t>(ret));
-        pushB(static_cast<uint8_t>(ret >> 8));
-    };
-    auto popRet = [&]() -> uint32_t {
-        uint32_t hi = popB();
-        uint32_t lo = popB();
-        return (hi << 8) | lo;
-    };
+        [[gnu::always_inline]] void out(uint8_t port, uint8_t v)
+        {
+            slowWrite(ioBase + port, v);
+        }
+        [[gnu::always_inline]] uint16_t sp() const { return m.sp(); }
+        [[gnu::always_inline]] void setSp(uint16_t v) { m.setSp(v); }
+        [[gnu::always_inline]] uint16_t stackGuard() const
+        {
+            return guard;
+        }
+    } mem{{}, *this, sreg, r8, sram.data(), dataLimitV, stackGuardV};
 
     const SbInst *ip = nullptr;
 
@@ -583,7 +452,7 @@ Machine::runSuperblock(uint64_t max_cycles)
     } while (0)
 #define SB_RETIRE_MEM()                                                 \
     do {                                                                \
-        if (trap_kind != TrapKind::None) [[unlikely]]                   \
+        if (mem.raised()) [[unlikely]]                                  \
             goto trap_exit;                                             \
         op_count[ip->op]++;                                             \
         ip++;                                                           \
@@ -591,11 +460,11 @@ Machine::runSuperblock(uint64_t max_cycles)
     } while (0)
 #define SB_RETIRE_STORE()                                               \
     do {                                                                \
-        if (trap_kind != TrapKind::None) [[unlikely]]                   \
+        if (mem.raised()) [[unlikely]]                                  \
             goto trap_exit;                                             \
         op_count[ip->op]++;                                             \
-        if (io_dirty) [[unlikely]] {                                    \
-            io_dirty = false;                                           \
+        if (mem.ioDirty) [[unlikely]] {                                 \
+            mem.ioDirty = false;                                        \
             if (ise) {                                                  \
                 ip++;                                                   \
                 goto lbl_EXIT_STATIC;                                   \
@@ -640,7 +509,7 @@ Machine::runSuperblock(uint64_t max_cycles)
         r8 = regs;
         goto next_block;
     }
-    io_dirty = false;
+    mem.ioDirty = false;
     {
         const uint8_t mode = ise ? io[ioMaccr] & kMacModeBits : 0;
         SbBlock *b = cache->lookup(pc, mode);
@@ -660,392 +529,119 @@ Machine::runSuperblock(uint64_t max_cycles)
     }
     SB_NEXT();
 
-  lbl_ADD: {
-    uint8_t d = r8[ip->a], s = r8[ip->b];
-    uint8_t r = d + s;
-    r8[ip->a] = r;
-    addFlagsB(sreg, d, s, r);
-    SB_RETIRE();
+// The datapath handlers: one call into avr/datapath.hh each, with the
+// handler's Op as a constant.
+#define SB_ALU(n, src)                                                  \
+  lbl_##n: {                                                            \
+    dp::alu(Op::n, r8, ip->a, src, sreg);                               \
+    SB_RETIRE();                                                        \
   }
-  lbl_LSL: {
-    // Canonicalized LSL Rd == ADD Rd,Rd: single read, doubled.
-    uint8_t d = r8[ip->a];
-    uint8_t r = static_cast<uint8_t>(d + d);
-    r8[ip->a] = r;
-    addFlagsB(sreg, d, d, r);
-    SB_RETIRE();
+#define SB_UNARY(n)                                                     \
+  lbl_##n: {                                                            \
+    dp::unary(Op::n, r8, ip->a, sreg);                                  \
+    SB_RETIRE();                                                        \
   }
-  lbl_ADC: {
-    uint8_t d = r8[ip->a], s = r8[ip->b];
-    uint8_t r = d + s + (sreg & sregC);
-    r8[ip->a] = r;
-    addFlagsB(sreg, d, s, r);
-    SB_RETIRE();
+#define SB_MUL(n)                                                       \
+  lbl_##n: {                                                            \
+    dp::mul(Op::n, r8, ip->a, ip->b, sreg);                             \
+    SB_RETIRE();                                                        \
   }
-  lbl_ROL: {
-    // Canonicalized ROL Rd == ADC Rd,Rd.
-    uint8_t d = r8[ip->a];
-    uint8_t r = static_cast<uint8_t>(d + d + (sreg & sregC));
-    r8[ip->a] = r;
-    addFlagsB(sreg, d, d, r);
-    SB_RETIRE();
+#define SB_WIDE(n)                                                      \
+  lbl_##n: {                                                            \
+    dp::wide(Op::n, r8, ip->a, static_cast<uint8_t>(ip->imm), sreg);    \
+    SB_RETIRE();                                                        \
   }
-  lbl_SUB: {
-    uint8_t d = r8[ip->a], s = r8[ip->b];
-    uint8_t r = d - s;
-    r8[ip->a] = r;
-    subFlagsB(sreg, d, s, r, false);
-    SB_RETIRE();
+#define SB_BIT(n)                                                       \
+  lbl_##n: {                                                            \
+    dp::bitOp(Op::n, r8, ip->a, ip->b, sreg);                           \
+    SB_RETIRE();                                                        \
   }
-  lbl_SBC: {
-    uint8_t d = r8[ip->a], s = r8[ip->b];
-    uint8_t r = d - s - (sreg & sregC);
-    r8[ip->a] = r;
-    subFlagsB(sreg, d, s, r, true);
-    SB_RETIRE();
+#define SB_IO(n, retire)                                                \
+  lbl_##n: {                                                            \
+    dp::io(Op::n, r8, ip->a, static_cast<uint8_t>(ip->imm), ip->b, mem); \
+    retire();                                                           \
   }
-  lbl_AND: {
-    uint8_t r = r8[ip->a] & r8[ip->b];
-    r8[ip->a] = r;
-    logicFlagsB(sreg, r);
-    SB_RETIRE();
+#define SB_LOAD(n)                                                      \
+  lbl_##n: {                                                            \
+    dp::load(Op::n, r8, ip->a, ip->imm, mem);                           \
+    SB_RETIRE_MEM();                                                    \
   }
-  lbl_TST: {
-    // Canonicalized TST Rd == AND Rd,Rd: flags only, no write.
-    logicFlagsB(sreg, r8[ip->a]);
-    SB_RETIRE();
+#define SB_STORE(n)                                                     \
+  lbl_##n: {                                                            \
+    dp::store(Op::n, r8, ip->a, ip->imm, mem);                          \
+    SB_RETIRE_STORE();                                                  \
   }
-  lbl_OR: {
-    uint8_t r = r8[ip->a] | r8[ip->b];
-    r8[ip->a] = r;
-    logicFlagsB(sreg, r);
-    SB_RETIRE();
+#define SB_LPM(n)                                                       \
+  lbl_##n: {                                                            \
+    dp::lpm(Op::n, r8, ip->a, flash_data);                              \
+    SB_RETIRE();                                                        \
   }
-  lbl_EOR: {
-    uint8_t r = r8[ip->a] ^ r8[ip->b];
-    r8[ip->a] = r;
-    logicFlagsB(sreg, r);
-    SB_RETIRE();
+#define SB_SKIP(n, v, w)                                                \
+  lbl_SKIP_##n: {                                                       \
+    if (dp::skipTaken(Op::n, v, w, ip->b))                              \
+        goto take_skip;                                                 \
+    SB_RETIRE();                                                        \
   }
-  lbl_CLR: {
-    // Canonicalized CLR Rd == EOR Rd,Rd: constant result and flags.
-    r8[ip->a] = 0;
-    sreg = (sreg & ~(sregZ | sregN | sregV | sregS)) | sregZ;
-    SB_RETIRE();
+#define SB_BRANCH(n)                                                    \
+  lbl_##n: {                                                            \
+    if (dp::branchTaken(Op::n, sreg, ip->b))                            \
+        goto take_branch;                                               \
+    SB_RETIRE();                                                        \
   }
-  lbl_MOV: {
-    r8[ip->a] = r8[ip->b];
-    SB_RETIRE();
-  }
-  lbl_CP: {
-    uint8_t d = r8[ip->a], s = r8[ip->b];
-    subFlagsB(sreg, d, s, d - s, false);
-    SB_RETIRE();
-  }
-  lbl_CPC: {
-    uint8_t d = r8[ip->a], s = r8[ip->b];
-    uint8_t r = d - s - (sreg & sregC);
-    subFlagsB(sreg, d, s, r, true);
-    SB_RETIRE();
-  }
-  lbl_MUL: {
-    uint16_t p = static_cast<uint16_t>(r8[ip->a]) * r8[ip->b];
-    r8[0] = static_cast<uint8_t>(p);
-    r8[1] = static_cast<uint8_t>(p >> 8);
-    mulFlagsB(sreg, p, p & 0x8000);
-    SB_RETIRE();
-  }
-  lbl_MULS: {
-    int16_t p = static_cast<int16_t>(static_cast<int8_t>(r8[ip->a])) *
-                static_cast<int8_t>(r8[ip->b]);
-    uint16_t u = static_cast<uint16_t>(p);
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, u & 0x8000);
-    SB_RETIRE();
-  }
-  lbl_MULSU: {
-    int16_t p = static_cast<int16_t>(static_cast<int8_t>(r8[ip->a])) *
-                static_cast<uint8_t>(r8[ip->b]);
-    uint16_t u = static_cast<uint16_t>(p);
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, u & 0x8000);
-    SB_RETIRE();
-  }
-  lbl_FMUL: {
-    int32_t p = static_cast<uint16_t>(r8[ip->a]) * r8[ip->b];
-    uint16_t u = static_cast<uint16_t>(p);
-    bool c = u & 0x8000;
-    u <<= 1;
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, c);
-    SB_RETIRE();
-  }
-  lbl_FMULS: {
-    int32_t p = static_cast<int8_t>(r8[ip->a]) *
-                static_cast<int8_t>(r8[ip->b]);
-    uint16_t u = static_cast<uint16_t>(p);
-    bool c = u & 0x8000;
-    u <<= 1;
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, c);
-    SB_RETIRE();
-  }
-  lbl_FMULSU: {
-    int32_t p = static_cast<int8_t>(r8[ip->a]) * r8[ip->b];
-    uint16_t u = static_cast<uint16_t>(p);
-    bool c = u & 0x8000;
-    u <<= 1;
-    r8[0] = static_cast<uint8_t>(u);
-    r8[1] = static_cast<uint8_t>(u >> 8);
-    mulFlagsB(sreg, u, c);
-    SB_RETIRE();
-  }
+
+    SB_ALU(ADD, r8[ip->b]) SB_ALU(ADC, r8[ip->b]) SB_ALU(SUB, r8[ip->b])
+    SB_ALU(SBC, r8[ip->b]) SB_ALU(AND, r8[ip->b]) SB_ALU(OR, r8[ip->b])
+    SB_ALU(EOR, r8[ip->b]) SB_ALU(MOV, r8[ip->b]) SB_ALU(CP, r8[ip->b])
+    SB_ALU(CPC, r8[ip->b])
+    SB_ALU(SUBI, static_cast<uint8_t>(ip->imm))
+    SB_ALU(SBCI, static_cast<uint8_t>(ip->imm))
+    SB_ALU(ANDI, static_cast<uint8_t>(ip->imm))
+    SB_ALU(ORI, static_cast<uint8_t>(ip->imm))
+    SB_ALU(CPI, static_cast<uint8_t>(ip->imm))
+    SB_ALU(LDI, static_cast<uint8_t>(ip->imm))
+    SB_MUL(MUL) SB_MUL(MULS) SB_MUL(MULSU)
+    SB_MUL(FMUL) SB_MUL(FMULS) SB_MUL(FMULSU)
+    SB_WIDE(ADIW) SB_WIDE(SBIW)
+    SB_UNARY(COM) SB_UNARY(NEG) SB_UNARY(SWAP) SB_UNARY(INC)
+    SB_UNARY(DEC) SB_UNARY(ASR) SB_UNARY(LSR) SB_UNARY(ROR)
+    SB_BIT(BSET) SB_BIT(BCLR) SB_BIT(BLD) SB_BIT(BST)
+    SB_IO(IN, SB_RETIRE) SB_IO(OUT, SB_RETIRE_STORE)
+    SB_IO(SBI, SB_RETIRE_STORE) SB_IO(CBI, SB_RETIRE_STORE)
+    SB_LOAD(LD_X) SB_LOAD(LD_X_INC) SB_LOAD(LD_X_DEC)
+    SB_LOAD(LDD_Y) SB_LOAD(LD_Y_INC) SB_LOAD(LD_Y_DEC)
+    SB_LOAD(LDD_Z) SB_LOAD(LD_Z_INC) SB_LOAD(LD_Z_DEC) SB_LOAD(LDS)
+    SB_STORE(ST_X) SB_STORE(ST_X_INC) SB_STORE(ST_X_DEC)
+    SB_STORE(STD_Y) SB_STORE(ST_Y_INC) SB_STORE(ST_Y_DEC)
+    SB_STORE(STD_Z) SB_STORE(ST_Z_INC) SB_STORE(ST_Z_DEC) SB_STORE(STS)
+    SB_LPM(LPM_R0) SB_LPM(LPM) SB_LPM(LPM_INC)
+    SB_SKIP(SBIC, mem.in(static_cast<uint8_t>(ip->imm)), 0)
+    SB_SKIP(SBIS, mem.in(static_cast<uint8_t>(ip->imm)), 0)
+    SB_SKIP(CPSE, r8[ip->a], r8[ip->b])
+    SB_SKIP(SBRC, r8[ip->a], 0)
+    SB_SKIP(SBRS, r8[ip->a], 0)
+    SB_BRANCH(BRBS) SB_BRANCH(BRBC)
+
+#undef SB_ALU
+#undef SB_UNARY
+#undef SB_MUL
+#undef SB_WIDE
+#undef SB_BIT
+#undef SB_IO
+#undef SB_LOAD
+#undef SB_STORE
+#undef SB_LPM
+#undef SB_SKIP
+#undef SB_BRANCH
+
   lbl_MOVW: {
-    r8[ip->a] = r8[ip->b];
-    r8[ip->a + 1] = r8[ip->b + 1];
-    SB_RETIRE();
-  }
-  lbl_SUBI: {
-    uint8_t d = r8[ip->a];
-    uint8_t r = d - static_cast<uint8_t>(ip->imm);
-    r8[ip->a] = r;
-    subFlagsB(sreg, d, static_cast<uint8_t>(ip->imm), r, false);
-    SB_RETIRE();
-  }
-  lbl_SBCI: {
-    uint8_t d = r8[ip->a];
-    uint8_t r = d - static_cast<uint8_t>(ip->imm) - (sreg & sregC);
-    r8[ip->a] = r;
-    subFlagsB(sreg, d, static_cast<uint8_t>(ip->imm), r, true);
-    SB_RETIRE();
-  }
-  lbl_ANDI: {
-    uint8_t r = r8[ip->a] & static_cast<uint8_t>(ip->imm);
-    r8[ip->a] = r;
-    logicFlagsB(sreg, r);
-    SB_RETIRE();
-  }
-  lbl_ORI: {
-    uint8_t r = r8[ip->a] | static_cast<uint8_t>(ip->imm);
-    r8[ip->a] = r;
-    logicFlagsB(sreg, r);
-    SB_RETIRE();
-  }
-  lbl_CPI: {
-    uint8_t d = r8[ip->a];
-    subFlagsB(sreg, d, static_cast<uint8_t>(ip->imm),
-              d - static_cast<uint8_t>(ip->imm), false);
-    SB_RETIRE();
-  }
-  lbl_LDI: {
-    r8[ip->a] = static_cast<uint8_t>(ip->imm);
-    SB_RETIRE();
-  }
-  lbl_ADIW: {
-    uint16_t d = pair(ip->a);
-    uint16_t r = d + ip->imm;
-    setPair(ip->a, r);
-    wideFlagsB(sreg, r, !(d & 0x8000) && (r & 0x8000),
-               !(r & 0x8000) && (d & 0x8000));
-    SB_RETIRE();
-  }
-  lbl_SBIW: {
-    uint16_t d = pair(ip->a);
-    uint16_t r = d - ip->imm;
-    setPair(ip->a, r);
-    wideFlagsB(sreg, r, (d & 0x8000) && !(r & 0x8000),
-               (r & 0x8000) && !(d & 0x8000));
-    SB_RETIRE();
-  }
-  lbl_COM: {
-    uint8_t r = ~r8[ip->a];
-    r8[ip->a] = r;
-    uint8_t n = (r >> 7) & 1;
-    sreg = (sreg & ~(sregC | sregZ | sregN | sregV | sregS)) | sregC |
-           static_cast<uint8_t>(r == 0) << 1 | n << 2 | n << 4;
-    SB_RETIRE();
-  }
-  lbl_NEG: {
-    uint8_t d = r8[ip->a];
-    uint8_t r = -d;
-    r8[ip->a] = r;
-    subFlagsB(sreg, 0, d, r, false);
-    SB_RETIRE();
-  }
-  lbl_SWAP: {
-    uint8_t d = r8[ip->a];
-    r8[ip->a] = static_cast<uint8_t>((d << 4) | (d >> 4));
+    dp::movw(r8, ip->a, ip->b);
     SB_RETIRE();
   }
   lbl_SWAP_MAC: {
     // Alg. 1 trigger: the low nibble enters the MAC before the swap.
-    uint8_t d = r8[ip->a];
-    macUnit.macSwap(r8, d & 0x0f);
-    r8[ip->a] = static_cast<uint8_t>((d << 4) | (d >> 4));
+    macUnit.macSwap(r8, r8[ip->a] & 0x0f);
+    dp::unary(Op::SWAP, r8, ip->a, sreg);
     SB_RETIRE();
-  }
-  lbl_INC: {
-    uint8_t r = r8[ip->a] + 1;
-    r8[ip->a] = r;
-    incDecFlagsB(sreg, r, r == 0x80);
-    SB_RETIRE();
-  }
-  lbl_DEC: {
-    uint8_t r = r8[ip->a] - 1;
-    r8[ip->a] = r;
-    incDecFlagsB(sreg, r, r == 0x7f);
-    SB_RETIRE();
-  }
-  lbl_ASR: {
-    uint8_t d = r8[ip->a];
-    uint8_t r = static_cast<uint8_t>((d >> 1) | (d & 0x80));
-    r8[ip->a] = r;
-    shiftFlagsB(sreg, r, d & 1);
-    SB_RETIRE();
-  }
-  lbl_LSR: {
-    uint8_t d = r8[ip->a];
-    uint8_t r = d >> 1;
-    r8[ip->a] = r;
-    shiftFlagsB(sreg, r, d & 1);
-    SB_RETIRE();
-  }
-  lbl_ROR: {
-    uint8_t d = r8[ip->a];
-    uint8_t r = static_cast<uint8_t>(
-        (d >> 1) | (static_cast<unsigned>(sreg & sregC) << 7));
-    r8[ip->a] = r;
-    shiftFlagsB(sreg, r, d & 1);
-    SB_RETIRE();
-  }
-  lbl_BSET: {
-    sreg |= static_cast<uint8_t>(1u << ip->a);
-    SB_RETIRE();
-  }
-  lbl_BCLR: {
-    sreg &= static_cast<uint8_t>(~(1u << ip->a));
-    SB_RETIRE();
-  }
-  lbl_BLD: {
-    if (sreg & sregT)
-        r8[ip->a] |= 1u << ip->b;
-    else
-        r8[ip->a] &= ~(1u << ip->b);
-    SB_RETIRE();
-  }
-  lbl_BST: {
-    sreg = static_cast<uint8_t>((sreg & ~sregT) |
-                                (((r8[ip->a] >> ip->b) & 1u) << 6));
-    SB_RETIRE();
-  }
-  lbl_SBI: {
-    ioWrite(static_cast<uint8_t>(ip->imm),
-            ioRead(static_cast<uint8_t>(ip->imm)) | (1u << ip->b));
-    SB_RETIRE_STORE();
-  }
-  lbl_CBI: {
-    ioWrite(static_cast<uint8_t>(ip->imm),
-            ioRead(static_cast<uint8_t>(ip->imm)) & ~(1u << ip->b));
-    SB_RETIRE_STORE();
-  }
-  lbl_IN: {
-    r8[ip->a] = ioRead(static_cast<uint8_t>(ip->imm));
-    SB_RETIRE();
-  }
-  lbl_OUT: {
-    ioWrite(static_cast<uint8_t>(ip->imm), r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_SKIP_SBIC: {
-    if (!(ioRead(static_cast<uint8_t>(ip->imm)) & (1u << ip->b)))
-        goto take_skip;
-    SB_RETIRE();
-  }
-  lbl_SKIP_SBIS: {
-    if (ioRead(static_cast<uint8_t>(ip->imm)) & (1u << ip->b))
-        goto take_skip;
-    SB_RETIRE();
-  }
-  lbl_SKIP_CPSE: {
-    if (r8[ip->a] == r8[ip->b])
-        goto take_skip;
-    SB_RETIRE();
-  }
-  lbl_SKIP_SBRC: {
-    if (!(r8[ip->a] & (1u << ip->b)))
-        goto take_skip;
-    SB_RETIRE();
-  }
-  lbl_SKIP_SBRS: {
-    if (r8[ip->a] & (1u << ip->b))
-        goto take_skip;
-    SB_RETIRE();
-  }
-  lbl_LD_X: {
-    uint8_t v = loadMem(pair(26));
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_X_INC: {
-    uint16_t ea = pair(26);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    setPair(26, ea + 1);
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_X_DEC: {
-    uint16_t ea = pair(26);
-    setPair(26, --ea);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LDD_Y: {
-    uint8_t v = loadMem(static_cast<uint16_t>(pair(28) + ip->imm));
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_Y_INC: {
-    uint16_t ea = pair(28);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    setPair(28, ea + 1);
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_Y_DEC: {
-    uint16_t ea = pair(28);
-    setPair(28, --ea);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LDD_Z: {
-    uint8_t v = loadMem(static_cast<uint16_t>(pair(30) + ip->imm));
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_Z_INC: {
-    uint16_t ea = pair(30);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    setPair(30, ea + 1);
-    SB_RETIRE_MEM();
-  }
-  lbl_LD_Z_DEC: {
-    uint16_t ea = pair(30);
-    setPair(30, --ea);
-    uint8_t v = loadMem(ea);
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
-  }
-  lbl_LDS: {
-    uint8_t v = loadMem(ip->addr);
-    r8[ip->a] = v;
-    SB_RETIRE_MEM();
   }
   lbl_MAC_LOAD: {
     // Alg. 2 trigger after the R24 load just retired (non-retiring).
@@ -1053,87 +649,13 @@ Machine::runSuperblock(uint64_t max_cycles)
     ip++;
     SB_NEXT();
   }
-  lbl_ST_X: {
-    storeMem(pair(26), r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_X_INC: {
-    uint16_t ea = pair(26);
-    storeMem(ea, r8[ip->a]);
-    setPair(26, ea + 1);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_X_DEC: {
-    uint16_t ea = pair(26);
-    setPair(26, --ea);
-    storeMem(ea, r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_STD_Y: {
-    storeMem(static_cast<uint16_t>(pair(28) + ip->imm), r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_Y_INC: {
-    uint16_t ea = pair(28);
-    storeMem(ea, r8[ip->a]);
-    setPair(28, ea + 1);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_Y_DEC: {
-    uint16_t ea = pair(28);
-    setPair(28, --ea);
-    storeMem(ea, r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_STD_Z: {
-    storeMem(static_cast<uint16_t>(pair(30) + ip->imm), r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_Z_INC: {
-    uint16_t ea = pair(30);
-    storeMem(ea, r8[ip->a]);
-    setPair(30, ea + 1);
-    SB_RETIRE_STORE();
-  }
-  lbl_ST_Z_DEC: {
-    uint16_t ea = pair(30);
-    setPair(30, --ea);
-    storeMem(ea, r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
-  lbl_STS: {
-    storeMem(ip->addr, r8[ip->a]);
-    SB_RETIRE_STORE();
-  }
   lbl_PUSH: {
-    pushB(r8[ip->a]);
+    dp::push(mem, r8[ip->a]);
     SB_RETIRE_STORE();
   }
   lbl_POP: {
-    r8[ip->a] = popB();
+    r8[ip->a] = dp::pop(mem);
     SB_RETIRE_MEM();
-  }
-  lbl_LPM_R0: {
-    uint16_t zv = pair(30);
-    uint16_t w = flash_data[(zv >> 1) & (flashWords - 1)];
-    r8[0] = (zv & 1) ? static_cast<uint8_t>(w >> 8)
-                     : static_cast<uint8_t>(w);
-    SB_RETIRE();
-  }
-  lbl_LPM: {
-    uint16_t zv = pair(30);
-    uint16_t w = flash_data[(zv >> 1) & (flashWords - 1)];
-    r8[ip->a] = (zv & 1) ? static_cast<uint8_t>(w >> 8)
-                         : static_cast<uint8_t>(w);
-    SB_RETIRE();
-  }
-  lbl_LPM_INC: {
-    uint16_t zv = pair(30);
-    uint16_t w = flash_data[(zv >> 1) & (flashWords - 1)];
-    r8[ip->a] = (zv & 1) ? static_cast<uint8_t>(w >> 8)
-                         : static_cast<uint8_t>(w);
-    setPair(30, zv + 1);
-    SB_RETIRE();
   }
   lbl_NOPLIKE: {
     // NOP/SLEEP/WDR/BREAK outside a MAC shadow.
@@ -1152,42 +674,31 @@ Machine::runSuperblock(uint64_t max_cycles)
   lbl_CALL_THROUGH: {
     // Stitched RCALL/CALL: push the return address, keep executing
     // the trace straight into the callee.
-    pushRet(ip->addr);
+    dp::pushPc(mem, ip->addr);
     SB_RETIRE_STORE();
   }
-  lbl_BRBS: {
-    if ((sreg >> ip->a) & 1)
-        goto take_branch;
-    SB_RETIRE();
-  }
-  lbl_BRBC: {
-    if (!((sreg >> ip->a) & 1))
-        goto take_branch;
-    SB_RETIRE();
-  }
   lbl_EXIT_RET: {
-    uint32_t ret = popRet();
-    if (trap_kind != TrapKind::None) [[unlikely]]
+    uint32_t ret = dp::ret(Op::RET, mem, sreg);
+    if (mem.raised()) [[unlikely]]
         goto trap_exit;
     op_count[ip->op]++;
     SB_LEAVE(0);
-    pc = ret & 0xffff;
+    pc = ret;
     goto next_block;
   }
   lbl_EXIT_RETI: {
-    uint32_t ret = popRet();
-    sreg |= sregI;
-    if (trap_kind != TrapKind::None) [[unlikely]]
+    uint32_t ret = dp::ret(Op::RETI, mem, sreg);
+    if (mem.raised()) [[unlikely]]
         goto trap_exit;
     op_count[ip->op]++;
     SB_LEAVE(0);
-    pc = ret & 0xffff;
+    pc = ret;
     goto next_block;
   }
   lbl_EXIT_IJMP: {
     op_count[ip->op]++;
     SB_LEAVE(0);
-    pc = pair(30);
+    pc = dp::pair(r8, 30);
     goto next_block;
   }
   lbl_EXIT_ICALL: {
@@ -1195,12 +706,12 @@ Machine::runSuperblock(uint64_t max_cycles)
     // file (SP below 0x20) must be visible to the target read,
     // exactly as on the reference path. A push into I/O space that
     // changed MACCR is picked up by the mode lookup at next_block.
-    pushRet(ip->addr);
-    if (trap_kind != TrapKind::None) [[unlikely]]
+    dp::pushPc(mem, ip->addr);
+    if (mem.raised()) [[unlikely]]
         goto trap_exit;
     op_count[ip->op]++;
     SB_LEAVE(0);
-    pc = pair(30);
+    pc = dp::pair(r8, 30);
     goto next_block;
   }
   lbl_EXIT_STATIC: {
@@ -1244,9 +755,9 @@ Machine::runSuperblock(uint64_t max_cycles)
     // trigger step() applies to that 0xff for an R24 load.
     SB_STAY();
     if (ise && (io[ioMaccr] & MacUnit::ctrlLoadMode) &&
-        loadsR24(decodeCache[ip->pc & (flashWords - 1)].inst))
+        firesLoadMac(decodeCache[ip->pc & (flashWords - 1)].inst))
         macUnit.macLoad(r8, r8[24]);
-    pendingTrap = Trap{trap_kind, ip->pc, trap_addr};
+    pendingTrap = Trap{mem.kind, ip->pc, mem.addr};
     flush();
     return;
   }

@@ -47,37 +47,39 @@ namespace jaavr
 class Machine;
 
 /**
- * Superblock handler kinds. The synonym encodings (LSL/ROL/TST/CLR,
- * see Synonym in avr/isa.hh) get their own specialized single-operand
- * handlers; SKIP_* and BRBS/BRBC carry precomputed taken-exit
- * metadata; GHOST is a stitched RJMP/JMP (retires, costs only its
- * predecoded cycles, no runtime control transfer); CALL_THROUGH is a
- * stitched RCALL/CALL; EXIT_* terminate the trace. SWAP_MAC is an
- * Algorithm-1 SWAP trigger, STALL_NOP a NOP retired inside a MAC
- * shadow. MAC_LOAD (the Algorithm-2 trigger, placed right after the
- * R24 load it belongs to), EXIT_STATIC and EXIT_TRAP are
- * pseudo-instructions that do not retire.
+ * Handlers named after the Op they execute: each is one call into
+ * avr/datapath.hh, and translation maps the Op to it directly.
  */
-#define JAAVR_SB_OPS(X)                                                  \
-    X(ADD) X(ADC) X(SUB) X(SBC) X(AND) X(OR) X(EOR) X(MOV)               \
-    X(CP) X(CPC)                                                         \
-    X(LSL) X(ROL) X(TST) X(CLR)                                          \
+#define JAAVR_SB_DATAPATH_OPS(X)                                         \
+    X(ADD) X(ADC) X(SUB) X(SBC) X(AND) X(OR) X(EOR) X(MOV) X(CP) X(CPC)  \
     X(MUL) X(MULS) X(MULSU) X(FMUL) X(FMULS) X(FMULSU) X(MOVW)           \
-    X(SUBI) X(SBCI) X(ANDI) X(ORI) X(CPI) X(LDI)                         \
-    X(ADIW) X(SBIW)                                                      \
-    X(COM) X(NEG) X(SWAP) X(SWAP_MAC) X(INC) X(DEC) X(ASR) X(LSR) X(ROR) \
-    X(BSET) X(BCLR) X(BLD) X(BST)                                        \
-    X(SBI) X(CBI) X(IN) X(OUT)                                           \
-    X(SKIP_SBIC) X(SKIP_SBIS) X(SKIP_CPSE) X(SKIP_SBRC) X(SKIP_SBRS)     \
+    X(SUBI) X(SBCI) X(ANDI) X(ORI) X(CPI) X(LDI) X(ADIW) X(SBIW)         \
+    X(COM) X(NEG) X(INC) X(DEC) X(ASR) X(LSR) X(ROR)                     \
+    X(BSET) X(BCLR) X(BLD) X(BST) X(SBI) X(CBI) X(IN) X(OUT)             \
     X(LD_X) X(LD_X_INC) X(LD_X_DEC)                                      \
     X(LDD_Y) X(LD_Y_INC) X(LD_Y_DEC)                                     \
-    X(LDD_Z) X(LD_Z_INC) X(LD_Z_DEC)                                     \
-    X(LDS) X(MAC_LOAD)                                                   \
+    X(LDD_Z) X(LD_Z_INC) X(LD_Z_DEC) X(LDS)                              \
     X(ST_X) X(ST_X_INC) X(ST_X_DEC)                                      \
     X(STD_Y) X(ST_Y_INC) X(ST_Y_DEC)                                     \
-    X(STD_Z) X(ST_Z_INC) X(ST_Z_DEC)                                     \
-    X(STS)                                                               \
-    X(PUSH) X(POP) X(LPM_R0) X(LPM) X(LPM_INC)                           \
+    X(STD_Z) X(ST_Z_INC) X(ST_Z_DEC) X(STS)                              \
+    X(PUSH) X(POP) X(LPM_R0) X(LPM) X(LPM_INC)
+
+/**
+ * Superblock handler kinds: the datapath handlers above plus the
+ * ones translation decides. SWAP/SWAP_MAC is a plain or an
+ * Algorithm-1 trigger SWAP; SKIP_* and BRBS/BRBC carry precomputed
+ * taken-exit metadata; STALL_NOP is a NOP retired inside a MAC
+ * shadow; GHOST is a stitched RJMP/JMP (retires, costs only its
+ * predecoded cycles, no runtime control transfer); CALL_THROUGH is a
+ * stitched RCALL/CALL; EXIT_* terminate the trace. MAC_LOAD (the
+ * Algorithm-2 trigger, placed right after the R24 load it belongs
+ * to), EXIT_STATIC and EXIT_TRAP are pseudo-instructions that do not
+ * retire.
+ */
+#define JAAVR_SB_OPS(X)                                                  \
+    JAAVR_SB_DATAPATH_OPS(X)                                             \
+    X(SWAP) X(SWAP_MAC) X(MAC_LOAD)                                      \
+    X(SKIP_SBIC) X(SKIP_SBIS) X(SKIP_CPSE) X(SKIP_SBRC) X(SKIP_SBRS)     \
     X(NOPLIKE) X(STALL_NOP)                                              \
     X(GHOST) X(CALL_THROUGH)                                             \
     X(BRBS) X(BRBC)                                                      \
@@ -119,11 +121,11 @@ struct SbInst
     uint32_t pc = 0;          ///< program PC (pseudos: continuation PC)
     uint32_t target = 0;      ///< taken-branch / skip target PC
     uint32_t prefixCycles = 0;///< base cycles retired before this element
-    uint16_t imm = 0;         ///< immediate / I/O address / LDD disp
-    uint16_t addr = 0;        ///< LDS/STS data address; call return PC
+    uint16_t imm = 0;         ///< K / I/O address / LDD q / LDS address
+    uint16_t addr = 0;        ///< call return PC
     uint16_t prefixInsts = 0; ///< retiring elements before this one
     uint8_t op = 0;           ///< architectural Op (for op_count[])
-    uint8_t a = 0;            ///< rd / SREG bit
+    uint8_t a = 0;            ///< rd
     uint8_t b = 0;            ///< rr / bit number
     uint8_t cycles = 0;       ///< predecoded base cycle cost
     uint8_t extra = 0;        ///< taken-skip extra cycles (skipExtra)

@@ -388,15 +388,7 @@ DebugTarget::interrupt()
 void
 DebugTarget::setupCall(uint32_t entry_word_addr)
 {
-    // Mirror Machine::call()'s pushPc: low byte first, SP decrements
-    // after each byte.
-    mach.writeData(mach.sp(),
-                   static_cast<uint8_t>(Machine::exitAddress));
-    mach.setSp(mach.sp() - 1);
-    mach.writeData(mach.sp(),
-                   static_cast<uint8_t>(Machine::exitAddress >> 8));
-    mach.setSp(mach.sp() - 1);
-    mach.setPc(entry_word_addr);
+    mach.enterRoutine(entry_word_addr);
 }
 
 } // namespace jaavr

@@ -7,7 +7,7 @@
  * random program soup, trap-in-mid-trace side exits, MAC hazards,
  * shadows and MACCR stores inside traces, trace invalidation through
  * the GDB flash-patch path, the JAAVR_ISS_BACKEND selection switch,
- * and the decode-canonicalization (synonym) satellite.
+ * and the synonym classification the disassembler uses.
  */
 
 #include <gtest/gtest.h>
@@ -149,10 +149,10 @@ expectBackendEquivalence(const Program &prog, CpuMode mode,
  * Exhaustive replay: every one of the 65536 primary opcode words,
  * executed inside a translated trace, must leave both backends in
  * bit- and cycle-identical state — registers, SREG, SP, PC, SRAM,
- * per-op statistics, the MAC unit and the stopping trap. Because the
- * synonym encodings (LSL/ROL/TST/CLR = ADD/ADC/AND/EOR with rd==rr)
- * are among these words, this is also the behavioral proof that
- * decode canonicalization changed nothing.
+ * per-op statistics, the MAC unit and the stopping trap. The backends
+ * share their datapath (avr/datapath.hh, checked against the manual by
+ * tests/test_machine_alu_exhaustive.cc); this replay checks what they
+ * do not share: decoding, dispatch, MAC decisions and accounting.
  *
  * The word under test sits at 1, after an `ld r24, X` (the
  * Algorithm-2 trigger shape) and before a varying operand word and
@@ -681,9 +681,9 @@ TEST(Superblock, BackendEnvironmentSelection)
  * space, synonymOf() classifies exactly the rd==rr forms of
  * ADD/ADC/AND/EOR as LSL/ROL/TST/CLR (and nothing else), the
  * assembler folds the alias mnemonics onto the same encodings, and
- * the disassembler prints the idiomatic alias. Behavioral
- * equivalence of the specialized superblock handlers is covered by
- * AllOpcodeWordsMatchReferenceAllModes above.
+ * the disassembler prints the idiomatic alias. The aliases execute as
+ * their canonical Op on both backends; the manual-derived oracle
+ * (tests/test_machine_alu_exhaustive.cc) checks lsl/rol/tst/clr.
  */
 TEST(Superblock, SynonymClassificationExhaustive)
 {
@@ -725,11 +725,6 @@ TEST(Superblock, SynonymClassificationExhaustive)
                   csprintf("lsl r%u", rd));
     }
 
-    // The decode cache carries the classification for the backend.
-    Machine m(CpuMode::CA);
-    m.loadProgram(assemble("lsl r9\nadd r9, r8\n", "dc").words, 0);
-    EXPECT_EQ(m.decoded(0).synonym, Synonym::LSL);
-    EXPECT_EQ(m.decoded(1).synonym, Synonym::None);
 }
 
 /*
