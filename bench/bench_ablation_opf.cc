@@ -10,7 +10,7 @@
  */
 
 #include "bench/bench_util.hh"
-#include "avrgen/secp160_harness.hh"
+#include "avrgen/opf_harness.hh"
 #include "field/montgomery_domain.hh"
 #include "field/opf_field.hh"
 #include "model/field_costs.hh"

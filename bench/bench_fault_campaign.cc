@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "avr/fault.hh"
-#include "avrgen/opf_harness.hh"
+#include "avrgen/x_ladder.hh"
 #include "bench/bench_util.hh"
 #include "curves/small_curves.hh"
 #include "curves/standard_curves.hh"
@@ -167,110 +167,19 @@ report(const std::string &sweep, const std::string &family,
 
 // --- Sweep A: ISS ladder --------------------------------------------
 
-/** Result of one ISS ladder pass. */
-struct IssPass
-{
-    Trap trap;          ///< first trap raised by any field routine
-    bool infinity = false;
-    BigUInt x;          ///< canonical affine x when finite and clean
-};
-
 /**
- * One x-only Montgomery-ladder pass for @p k (kbits bits, MSB first)
- * on x1, with every field operation executed by @p lib on the ISS.
- * Montgomery-domain RFC-7748-shaped ladder step; the conditional
- * swaps are host-side data movement (register renaming on a real
- * implementation), the arithmetic is all simulated.
+ * One x-only Montgomery-ladder pass for @p k (kBits bits, MSB first)
+ * on the base point, every field operation on the ISS (the shared
+ * ladder of avrgen/x_ladder.hh).
  */
-IssPass
-issLadderPass(OpfAvrLibrary &lib, const OpfField &fm,
-              const MontgomeryCurve &mc, uint32_t k, unsigned kbits,
-              const BigUInt &x1)
+IssLadderX
+issLadderPass(OpfAvrLibrary &lib, const MontgomeryCurve &mc, uint32_t k,
+              unsigned kbits, const BigUInt &x1)
 {
-    using W = OpfField::Words;
-    IssPass out;
-    Trap trap;
-    auto mul = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.mul(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-    auto add = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.add(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-    auto sub = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.sub(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-
-    W x1m = fm.toMont(x1);
-    W a24m = fm.toMont(BigUInt(mc.a24()));
-    W one = fm.toMont(BigUInt(1));
-    W zero(fm.words(), 0);
-    W x2 = one, z2 = zero, x3 = x1m, z3 = one;
-
-    unsigned swap = 0;
-    for (int i = int(kbits) - 1; i >= 0 && !trap; i--) {
-        unsigned bit = (k >> i) & 1;
-        swap ^= bit;
-        if (swap) {
-            std::swap(x2, x3);
-            std::swap(z2, z3);
-        }
-        swap = bit;
-
-        W a = add(x2, z2);
-        W aa = mul(a, a);
-        W b = sub(x2, z2);
-        W bb = mul(b, b);
-        W e = sub(aa, bb);
-        W c = add(x3, z3);
-        W d = sub(x3, z3);
-        W da = mul(d, a);
-        W cb = mul(c, b);
-        W t0 = add(da, cb);
-        x3 = mul(t0, t0);
-        W t1 = sub(da, cb);
-        W t2 = mul(t1, t1);
-        z3 = mul(x1m, t2);
-        x2 = mul(aa, bb);
-        W t3 = mul(a24m, e);
-        W t4 = add(bb, t3);
-        z2 = mul(e, t4);
-    }
-    if (!trap && swap) {
-        std::swap(x2, x3);
-        std::swap(z2, z3);
-    }
-    if (trap) {
-        out.trap = trap;
-        return out;
-    }
-
-    BigUInt zc = fm.canonical(z2);
-    if (zc.isZero()) {
-        out.infinity = true;
-        return out;
-    }
-    // inv(Z R) = Z^-1; montMul(X R, Z^-1) = X/Z in plain domain.
-    OpfRun ir = lib.inv(fm.fromBig(zc));
-    if (ir.trap) {
-        out.trap = ir.trap;
-        return out;
-    }
-    OpfRun xr = lib.mul(x2, ir.result);
-    if (xr.trap) {
-        out.trap = xr.trap;
-        return out;
-    }
-    out.x = fm.canonical(xr.result);
-    return out;
+    const OpfField &fm = lib.field();
+    OpfField::Words x1m = fm.toMont(x1);
+    return issLadderX(lib, fm.toMont(BigUInt(mc.a24())), x1m,
+                      xLadderStart(fm, x1m), BigUInt(k), kbits);
 }
 
 /** Seeded random fault plan for sweep A. */
@@ -308,9 +217,7 @@ sweepIss(unsigned trials, uint64_t seed)
 {
     heading("Sweep A: ISS Montgomery-ladder scalar-mult injections");
 
-    OpfPrime prime = paperOpfPrime();
-    OpfField fm(prime);
-    OpfAvrLibrary lib(prime, CpuMode::ISE);
+    OpfAvrLibrary lib(paperOpfPrime(), CpuMode::ISE);
     const MontgomeryCurve &mc = montgomeryOpfCurve();
     const BigUInt x1 = montgomeryOpfBasePoint().x;
     constexpr unsigned kBits = 16;
@@ -321,7 +228,7 @@ sweepIss(unsigned trials, uint64_t seed)
     // host ladder, and its cycle span bounds the trigger offsets.
     uint32_t k0 = 1 + static_cast<uint32_t>(rng.below((1u << kBits) - 1));
     uint64_t c0 = lib.machine().stats().cycles;
-    IssPass gate = issLadderPass(lib, fm, mc, k0, kBits, x1);
+    IssLadderX gate = issLadderPass(lib, mc, k0, kBits, x1);
     uint64_t window = lib.machine().stats().cycles - c0;
     auto host = mc.ladder(BigUInt(k0), x1);
     if (gate.trap || gate.infinity || !host || gate.x != *host)
@@ -344,12 +251,12 @@ sweepIss(unsigned trials, uint64_t seed)
         lib.machine().reset();
         inj.arm(plan, lib.machine().stats().cycles);
 
-        IssPass first = issLadderPass(lib, fm, mc, k, kBits, x1);
+        IssLadderX first = issLadderPass(lib, mc, k, kBits, x1);
         bool fired = inj.fired();
         // Time redundancy: the injector is one-shot, so the second
         // pass is clean — unless the plan corrupted flash, which is
         // a persistent fault by design.
-        IssPass second = issLadderPass(lib, fm, mc, k, kBits, x1);
+        IssLadderX second = issLadderPass(lib, mc, k, kBits, x1);
 
         Outcome o;
         if (first.trap || second.trap) {

@@ -4,8 +4,9 @@
  * wall-second and simulated cycles per wall-second on representative
  * ECC workloads, measured through both ISS backends — the per-step
  * decode reference loop (step()) and the superblock-threaded trace
- * backend. The reference loop is measured exactly ONCE per workload
- * and that one sample anchors the speedup. Emits one JSON line per
+ * backend. Each workload runs five alternating reference/superblock
+ * leg pairs; the reported speedup is the median of the per-pair
+ * ratios (min-max printed alongside). Emits one JSON line per
  * (workload, backend) to BENCH_iss.json for trajectory tracking
  * across PRs.
  *
@@ -16,18 +17,19 @@
  *  - the secp160r1 MAC-ISE multiplication kernel (Fig. 1 datapath).
  *
  * Environment:
- *  - JAAVR_BENCH_SECONDS: min wall seconds per measurement (def 0.2)
+ *  - JAAVR_BENCH_SECONDS: min wall seconds per leg (def 0.2)
  *  - JAAVR_ISS_BACKEND selects the backend for ordinary runs
  *    elsewhere; this bench measures both legs explicitly and
  *    restores the environment's selection afterwards.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <vector>
 
 #include "avrgen/opf_harness.hh"
-#include "avrgen/secp160_harness.hh"
 #include "bench/bench_util.hh"
 #include "field/opf_field.hh"
 #include "nt/opf_prime.hh"
@@ -60,6 +62,16 @@ struct Sample
 
     double ips() const { return simInstructions / wallSeconds; }
     double cps() const { return simCycles / wallSeconds; }
+
+    Sample &
+    operator+=(const Sample &o)
+    {
+        wallSeconds += o.wallSeconds;
+        simInstructions += o.simInstructions;
+        simCycles += o.simCycles;
+        ops += o.ops;
+        return *this;
+    }
 };
 
 /**
@@ -90,26 +102,38 @@ measure(Machine &m, const std::function<void()> &one_op)
 }
 
 /**
- * Measure both backends, report, and emit one JSON line per backend.
- * Returns the superblock speedup over the reference loop (the
- * acceptance metric).
+ * Measure both backends in kLegPairs alternating reference/superblock
+ * leg pairs, report, and emit one JSON line per backend (counters
+ * summed over its legs). Returns the median of the per-pair
+ * superblock speedups over the reference loop (the acceptance
+ * metric): one leg pair is too noisy to gate on.
  */
 double
 compare(const std::string &workload, CpuMode mode, Machine &m,
         const std::function<void()> &one_op)
 {
+    constexpr size_t kLegPairs = 5;
     const IssBackend initial_backend = m.backend();
-    m.setBackend(IssBackend::Reference);
-    Sample ref = measure(m, one_op);
-    m.setBackend(IssBackend::Superblock);
-    Sample sb = measure(m, one_op);
+    Sample ref, sb;
+    std::vector<double> ratios;
+    for (size_t i = 0; i < kLegPairs; i++) {
+        m.setBackend(IssBackend::Reference);
+        Sample r = measure(m, one_op);
+        m.setBackend(IssBackend::Superblock);
+        Sample s = measure(m, one_op);
+        ratios.push_back(r.ips() > 0 ? s.ips() / r.ips() : 0.0);
+        ref += r;
+        sb += s;
+    }
     m.setBackend(initial_backend);
+    std::sort(ratios.begin(), ratios.end());
+    const double sb_speedup = ratios[kLegPairs / 2];
 
-    double sb_speedup = ref.ips() > 0 ? sb.ips() / ref.ips() : 0.0;
     std::printf("  %-22s %-4s  ref %7.2f  superblock %8.2f Minstr/s "
-                "(x%.2f)\n",
+                "(x%.2f median of %zu, x%.2f-x%.2f)\n",
                 workload.c_str(), cpuModeName(mode), ref.ips() / 1e6,
-                sb.ips() / 1e6, sb_speedup);
+                sb.ips() / 1e6, sb_speedup, kLegPairs, ratios.front(),
+                ratios.back());
 
     for (const auto &[path, s, speedup] :
          {std::tuple<const char *, const Sample &, double>{
@@ -163,8 +187,8 @@ int
 main()
 {
     heading("ISS throughput: reference vs superblock backend");
-    note(csprintf("min %.2f wall seconds per measurement "
-                  "(JAAVR_BENCH_SECONDS)", minSeconds()));
+    note(csprintf("min %.2f wall seconds per leg (JAAVR_BENCH_SECONDS), "
+                  "5 alternating leg pairs per workload", minSeconds()));
     std::printf("\n");
 
     // The acceptance workload: OPF 256-bit Montgomery multiplication.

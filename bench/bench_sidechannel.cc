@@ -57,7 +57,7 @@
 #include <vector>
 
 #include "avr/leakage.hh"
-#include "avrgen/opf_harness.hh"
+#include "avrgen/x_ladder.hh"
 #include "bench/bench_util.hh"
 #include "curves/standard_curves.hh"
 #include "curves/validate.hh"
@@ -92,42 +92,16 @@ using W = OpfField::Words;
  * shorter prefixes diverge there.
  */
 std::vector<W>
-hostLadderZ2Steps(const OpfField &fm, const W &a24m, const W &one,
-                  const W &x1m, uint64_t bits, unsigned nbits)
+hostLadderZ2Steps(const OpfField &fm, const W &a24m, const W &x1m,
+                  uint64_t bits, unsigned nbits)
 {
-    W zero(fm.words(), 0);
-    W x2 = one, z2 = zero, x3 = x1m, z3 = one;
+    HostLadderOps ops{fm};
+    XLadderState st = xLadderStart(fm, x1m);
     std::vector<W> snaps;
     snaps.reserve(nbits);
-    unsigned swap = 0;
     for (int i = int(nbits) - 1; i >= 0; i--) {
-        unsigned bit = unsigned(bits >> i) & 1;
-        swap ^= bit;
-        if (swap) {
-            std::swap(x2, x3);
-            std::swap(z2, z3);
-        }
-        swap = bit;
-
-        W a = fm.add(x2, z2);
-        W aa = fm.montMul(a, a);
-        W b = fm.sub(x2, z2);
-        W bb = fm.montMul(b, b);
-        W e = fm.sub(aa, bb);
-        W c = fm.add(x3, z3);
-        W d = fm.sub(x3, z3);
-        W da = fm.montMul(d, a);
-        W cb = fm.montMul(c, b);
-        W t0 = fm.add(da, cb);
-        x3 = fm.montMul(t0, t0);
-        W t1 = fm.sub(da, cb);
-        W t2 = fm.montMul(t1, t1);
-        z3 = fm.montMul(x1m, t2);
-        x2 = fm.montMul(aa, bb);
-        W t3 = fm.montMul(a24m, e);
-        W t4 = fm.add(bb, t3);
-        z2 = fm.montMul(e, t4);
-        snaps.push_back(z2);
+        xLadderStep(ops, st, x1m, a24m, unsigned(bits >> i) & 1);
+        snaps.push_back(st.z2);
     }
     return snaps;
 }
@@ -160,30 +134,8 @@ collectLadder(OpfAvrLibrary &lib, const OpfField &fm,
     lib.machine().setLeakSink(&tracer);
 
     W a24m = fm.toMont(BigUInt(mc.a24()));
-    W one = fm.toMont(BigUInt(1));
-    W zero(fm.words(), 0);
 
     LadderSet set;
-    Trap trap;
-    auto mul = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.mul(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-    auto add = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.add(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-    auto sub = [&](const W &a, const W &b) -> W {
-        OpfRun r = lib.sub(a, b);
-        if (r.trap && !trap)
-            trap = r.trap;
-        return r.result;
-    };
-
     for (unsigned t = 0; t < ntraces; t++) {
         BigUInt x1;
         do
@@ -191,7 +143,7 @@ collectLadder(OpfAvrLibrary &lib, const OpfField &fm,
         while (!validateX(mc, x1));
         W x1m = fm.toMont(x1);
 
-        W x2 = one, z2 = zero, x3 = x1m, z3 = one;
+        XLadderState st = xLadderStart(fm, x1m);
         if (blind) {
             // Coron randomized projective coordinates: the neutral
             // element scales to (lambda : 0), the base to
@@ -204,54 +156,28 @@ collectLadder(OpfAvrLibrary &lib, const OpfField &fm,
                 mu = f.random(rng);
             while (mu.isZero());
             W mum = fm.toMont(mu);
-            x2 = fm.toMont(lam);
-            x3 = fm.montMul(x1m, mum);
-            z3 = mum;
+            st.x2 = fm.toMont(lam);
+            st.x3 = fm.montMul(x1m, mum);
+            st.z3 = mum;
         }
 
         tracer.begin(lib.machine(),
                      seed ^ (0x9e3779b97f4a7c15ULL * (t + 1)));
-        unsigned swap = 0;
-        for (int i = int(kbits) - 1; i >= 0 && !trap; i--) {
-            tracer.mark(csprintf("step%u", kbits - 1 - unsigned(i)));
-            unsigned bit = unsigned(k >> i) & 1;
-            swap ^= bit;
-            if (swap) {
-                std::swap(x2, x3);
-                std::swap(z2, z3);
-            }
-            swap = bit;
-
-            W a = add(x2, z2);
-            W aa = mul(a, a);
-            W b = sub(x2, z2);
-            W bb = mul(b, b);
-            W e = sub(aa, bb);
-            W c = add(x3, z3);
-            W d = sub(x3, z3);
-            W da = mul(d, a);
-            W cb = mul(c, b);
-            W t0 = add(da, cb);
-            x3 = mul(t0, t0);
-            W t1 = sub(da, cb);
-            W t2 = mul(t1, t1);
-            z3 = mul(x1m, t2);
-            x2 = mul(aa, bb);
-            W t3 = mul(a24m, e);
-            W t4 = add(bb, t3);
-            z2 = mul(e, t4);
-        }
+        IssLadderOps ops{lib, {}};
+        xLadder(ops, st, x1m, a24m, BigUInt(k), kbits, [&](unsigned j) {
+            tracer.mark(csprintf("step%u", j));
+        });
         tracer.mark("final");
         tracer.end();
-        if (trap)
+        if (ops.trap)
             panic("sidechannel: ISS trap during trace collection");
 
         // The blind must cancel: X2/Z2 equals the host ladder result.
-        BigUInt zc = fm.canonical(z2);
+        BigUInt zc = fm.canonical(st.z2);
         auto host = mc.ladder(BigUInt(k), x1);
         if (zc.isZero() || !host)
             panic("sidechannel: unexpected ladder infinity");
-        if (f.mul(fm.canonical(x2), f.inv(zc)) != *host)
+        if (f.mul(fm.canonical(st.x2), f.inv(zc)) != *host)
             panic("sidechannel: traced ladder disagrees with host");
 
         std::vector<size_t> bounds;
@@ -356,7 +282,7 @@ maxAbsCorr(const std::vector<std::vector<float>> &traces,
  */
 Attack
 cpaLadder(const LadderSet &set, const OpfField &fm, const W &a24m,
-          const W &one, uint64_t k, unsigned kbits)
+          uint64_t k, unsigned kbits)
 {
     // Restricting the scan to each step's tail keeps the wrong-key
     // noise floor (max of |r| over the window under the null) low at
@@ -389,8 +315,7 @@ cpaLadder(const LadderSet &set, const OpfField &fm, const W &a24m,
             uint64_t hyp = (top & ~uint64_t(0xf)) | h;
             std::vector<std::vector<W>> snap(n);
             for (size_t t = 0; t < n; t++)
-                snap[t] = hostLadderZ2Steps(fm, a24m, one, set.x1m[t],
-                                            hyp, m);
+                snap[t] = hostLadderZ2Steps(fm, a24m, set.x1m[t], hyp, m);
             double sc = 0;
             for (unsigned l = 0; l < 4; l++) {
                 unsigned step = 4 * j + l;
@@ -649,7 +574,6 @@ main(int argc, char **argv)
     OpfAvrLibrary lib(prime, CpuMode::ISE);
     const MontgomeryCurve &mc = montgomeryOpfCurve();
     W a24m = fm.toMont(BigUInt(mc.a24()));
-    W one = fm.toMont(BigUInt(1));
 
     // Fixed secret scalar, top bit set so every trace runs kbits full
     // ladder steps.
@@ -663,7 +587,7 @@ main(int argc, char **argv)
     note(csprintf("  %u traces x %zu samples", traces,
                   plain.traces[0].size()));
     note("attacking plain ladder:");
-    Attack plainA = cpaLadder(plain, fm, a24m, one, k, kbits);
+    Attack plainA = cpaLadder(plain, fm, a24m, k, kbits);
     plain = LadderSet(); // free before the next capture
 
     note("collecting hardened-ladder traces (randomized projective "
@@ -671,7 +595,7 @@ main(int argc, char **argv)
     LadderSet hard = collectLadder(lib, fm, mc, k, kbits, traces, true,
                                    0x202, "");
     note("attacking hardened ladder (same attack, same budget):");
-    Attack hardA = cpaLadder(hard, fm, a24m, one, k, kbits);
+    Attack hardA = cpaLadder(hard, fm, a24m, k, kbits);
     hard = LadderSet();
 
     note("attacking ISE Montgomery multiplication (secret b operand):");

@@ -162,6 +162,42 @@ macShadowExempt(const Inst &inst)
            inst.op != Op::LD_Y_DEC && inst.op != Op::LD_Z_DEC;
 }
 
+/** Outcome of Algorithm 2's 13-register rule for one instruction. */
+enum class MacHazard : uint8_t { None, Touch, Retrigger };
+
+/**
+ * The instructions executing while MAC micro-ops are pending
+ * (@p shadow cycles) must not touch {R0..R8, R16..R19}; an @p exempt
+ * R24 load may retrigger unless both micro-ops of the previous
+ * trigger are still outstanding.
+ */
+inline MacHazard
+macShadowHazard(uint8_t shadow, bool touches_mac, bool exempt)
+{
+    if (shadow > 0 && touches_mac && !exempt)
+        return MacHazard::Touch;
+    return shadow >= 2 && exempt ? MacHazard::Retrigger : MacHazard::None;
+}
+
+/**
+ * MAC shadow left after an instruction retires in @p cycles; a fresh
+ * trigger's two micro-ops occupy the two cycles after it.
+ */
+constexpr uint8_t
+macShadowAfter(uint8_t shadow, unsigned cycles, bool triggered = false)
+{
+    if (triggered)
+        return 2;
+    return shadow > cycles ? static_cast<uint8_t>(shadow - cycles) : 0;
+}
+
+/** A NOP retired inside a MAC shadow is a hazard stall. */
+constexpr bool
+isMacStallNop(Op op, uint8_t shadow)
+{
+    return op == Op::NOP && shadow > 0;
+}
+
 } // namespace jaavr
 
 #endif // JAAVR_AVR_ISA_HH

@@ -330,22 +330,18 @@ Machine::step()
         ownedTrace->onInst(pc0, inst, 0, execStats.cycles);
     }
 
-    // MAC shadow hazard check (Algorithm 2's 13-register rule): the
-    // instructions executing while MAC micro-ops are pending must not
-    // touch {R0..R8, R16..R19}. A new R24 load is allowed (pipelined
-    // retriggering) unless both micro-ops of the previous trigger are
-    // still outstanding.
+    // MAC shadow hazard check (Algorithm 2's 13-register rule).
     const bool ise = cpuMode == CpuMode::ISE;
     const bool load_mac = ise && (io[ioMaccr] & MacUnit::ctrlLoadMode);
     const bool swap_mac = ise && (io[ioMaccr] & MacUnit::ctrlSwapMode);
     const uint8_t shadow = macUnit.pendingShadow();
-    const bool exempt = load_mac && macShadowExempt(inst);
-    if (shadow > 0 && touchesMacRegs(inst) && !exempt) {
-        pendingTrap = Trap{TrapKind::MacHazard, pc0, 0};
-        return 0;
-    }
-    if (shadow >= 2 && exempt) {
-        pendingTrap = Trap{TrapKind::MacHazard, pc0, 1};
+    const MacHazard hazard =
+        shadow ? macShadowHazard(shadow, touchesMacRegs(inst),
+                                 load_mac && macShadowExempt(inst))
+               : MacHazard::None;
+    if (hazard != MacHazard::None) {
+        pendingTrap = Trap{TrapKind::MacHazard, pc0,
+                           uint16_t(hazard == MacHazard::Retrigger)};
         return 0;
     }
 
@@ -519,20 +515,15 @@ Machine::step()
         return 0;
     }
 
-    // Retire pending MAC shadow cycles; a fresh trigger's two
-    // micro-ops occupy the two cycles after this instruction.
-    if (mac_triggered)
-        macUnit.setPendingShadow(2);
-    else
-        macUnit.setPendingShadow(
-            shadow > cycles ? shadow - static_cast<uint8_t>(cycles) : 0);
+    // Retire pending MAC shadow cycles.
+    macUnit.setPendingShadow(macShadowAfter(shadow, cycles, mac_triggered));
 
     pcWord = next_pc & 0xffff;
     execStats.opCount[static_cast<size_t>(inst.op)]++;
     execStats.opCycles[static_cast<size_t>(inst.op)] += cycles;
     execStats.instructions++;
     execStats.cycles += cycles;
-    if (inst.op == Op::NOP && shadow > 0)
+    if (isMacStallNop(inst.op, shadow))
         execStats.macStallNops++;
 
     if (profSink) {

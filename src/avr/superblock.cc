@@ -72,13 +72,6 @@ namespace
 constexpr uint8_t kMacModeBits =
     MacUnit::ctrlSwapMode | MacUnit::ctrlLoadMode;
 
-/** MAC shadow left after an element with shadow @p s retires in @p c. */
-constexpr uint8_t
-shadowAfter(uint8_t s, unsigned c)
-{
-    return s > c ? static_cast<uint8_t>(s - c) : 0;
-}
-
 } // anonymous namespace
 
 SuperblockCache::SuperblockCache()
@@ -133,9 +126,10 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t mode,
         // Alg. 2: an R24 load in load mode triggers two MACs. The
         // reference hazard rule, evaluated on the static shadow.
         const bool r24_trigger = load_mac && firesLoadMac(inst);
-        const bool r24_exempt = load_mac && macShadowExempt(inst);
-        const bool hazard = (shadow > 0 && dc.touchesMac && !r24_exempt) ||
-                            (shadow >= 2 && r24_exempt);
+        const bool hazard =
+            macShadowHazard(shadow, dc.touchesMac,
+                            load_mac && macShadowExempt(inst)) !=
+            MacHazard::None;
         SbInst si;
         si.pc = pc;
         if (pc == Machine::exitAddress || blk->code.size() >= kMaxInsts ||
@@ -198,7 +192,8 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t mode,
           case Op::SBRS: h = skip(SbOp::SKIP_SBRS); break;
           case Op::NOP:
             // A NOP retired inside a MAC shadow is a hazard stall.
-            h = shadow > 0 ? SbOp::STALL_NOP : SbOp::NOPLIKE;
+            h = isMacStallNop(inst.op, shadow) ? SbOp::STALL_NOP
+                                               : SbOp::NOPLIKE;
             break;
           case Op::SLEEP: case Op::WDR: case Op::BREAK:
             h = SbOp::NOPLIKE;
@@ -251,7 +246,7 @@ SuperblockCache::translate(const Machine &m, uint32_t entry, uint8_t mode,
         emit(h, si);
         total += dc.cycles;
         retired++;
-        shadow = r24_trigger ? 2 : shadowAfter(shadow, dc.cycles);
+        shadow = macShadowAfter(shadow, dc.cycles, r24_trigger);
         if (terminal)
             break;
         pc = next;
@@ -426,7 +421,7 @@ Machine::runSuperblock(uint64_t max_cycles)
         consumed += ip->prefixCycles + ip->cycles + (extra);            \
         insts += ip->prefixInsts + 1u;                                  \
         macUnit.setPendingShadow(                                       \
-            shadowAfter(ip->shadow, ip->cycles + (extra)));             \
+            macShadowAfter(ip->shadow, ip->cycles + (extra)));          \
     } while (0)
 #define SB_STAY()                                                       \
     do {                                                                \

@@ -1,9 +1,9 @@
 /**
  * @file
  * Per-field-operation cycle costs, measured on the instruction-set
- * simulator by running the generated OPF assembly routines
- * (DESIGN.md substitution #3: measured, not modeled, wherever we
- * have the assembly).
+ * simulator by running a generated assembly routine set through the
+ * ISS harness (avrgen/opf_harness.hh; DESIGN.md substitution #3:
+ * measured, not modeled, wherever we have the assembly).
  */
 
 #ifndef JAAVR_MODEL_FIELD_COSTS_HH
@@ -50,15 +50,14 @@ struct FieldCycleCosts
 const FieldCycleCosts &opfFieldCosts(const OpfPrime &prime, CpuMode mode);
 
 /**
- * Costs for the standardized secp160r1 field, measured by running
- * the generated assembly routine set (product scanning + the
- * dedicated 2^160 = 2^31 + 1 reduction; see
- * avrgen/secp160_routines.hh) on the ISS. The paper evaluates
- * secp160r1 only on the plain ATmega128 (CA); all modes are provided
- * for completeness — the additive reduction is exactly why this
- * field profits less from the MAC unit than the OPFs do.
+ * The same measurement on the standardized secp160r1 field's routine
+ * set (product scanning + the dedicated 2^160 = 2^31 + 1 reduction;
+ * see avrgen/secp160_routines.hh), cached per mode. The paper
+ * evaluates secp160r1 only on the plain ATmega128 (CA); all modes are
+ * provided for completeness — the additive reduction is exactly why
+ * this field profits less from the MAC unit than the OPFs do.
  */
-FieldCycleCosts secp160r1FieldCosts(CpuMode mode);
+const FieldCycleCosts &secp160r1FieldCosts(CpuMode mode);
 
 } // namespace jaavr
 

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "avrgen/opf_harness.hh"
-#include "avrgen/secp160_harness.hh"
 #include "bigint/big_int.hh"
 #include "field/secp160.hh"
 #include "nt/mont_inverse.hh"

@@ -20,7 +20,7 @@
 #include "avr/machine.hh"
 #include "avr/timing.hh"
 #include "avrasm/assembler.hh"
-#include "avrgen/secp160_harness.hh"
+#include "avrgen/opf_harness.hh"
 #include "debug/target.hh"
 #include "support/logging.hh"
 #include "support/random.hh"

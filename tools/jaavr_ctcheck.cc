@@ -3,20 +3,14 @@
  * jaavr-ctcheck: static constant-time verification of every shipped
  * assembly routine (src/avrgen/ct_check.hh).
  *
- * Assembles the OPF routine set for the paper's reference prime and
- * the secp160r1 set, lays each out at its harness load address, and
- * runs the secret-taint walk with the harness entry state (Y = &a,
- * Z = &b, secrets in the operand buffers). Emits one JSON line per
- * routine plus one per finding to CT_report.json and exits non-zero
- * unless every routine satisfies its contract:
- *
- *  - OPF add/sub/mul (native and ISE): ConstantTime with exactly the
- *    two final-fold ripple branches waived (paper Section III-A,
- *    probability 2^-32 per round);
- *  - secp160r1 add/sub/mul/mul-ISE: VariableTime — the pseudo-
- *    Mersenne fold ripple is ordinary data-dependent control flow;
- *  - both Kaliski inverses: VariableTime (the paper concedes the
- *    inversion's data-dependent runtime, Section V-B).
+ * Walks the harness routine tables (avrgen/opf_harness.hh) — the OPF
+ * set for the paper's reference prime in CA and ISE mode, and the
+ * secp160r1 set in ISE mode — checking each distinct routine at its
+ * harness load address with the harness entry state (Y = &a, Z = &b,
+ * secrets in the operand buffers) against the contract the table
+ * gives it (fieldRoutineCtSpec). Emits one JSON line per routine plus
+ * one per finding to CT_report.json and exits non-zero unless every
+ * routine satisfies its contract; a routine without one fails.
  *
  * Usage: jaavr-ctcheck [--out CT_report.json] [-v]
  */
@@ -26,10 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "avrasm/assembler.hh"
 #include "avrgen/ct_check.hh"
-#include "avrgen/opf_routines.hh"
-#include "avrgen/secp160_routines.hh"
+#include "avrgen/opf_harness.hh"
 #include "nt/opf_prime.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -39,48 +31,23 @@ using namespace jaavr;
 namespace
 {
 
-constexpr uint32_t kFlashWords = 0x10000;
-
-std::vector<uint16_t>
-loadAt(const Program &prog, uint32_t entry)
-{
-    std::vector<uint16_t> flash(kFlashWords, 0xffff);
-    for (size_t i = 0; i < prog.words.size(); i++)
-        flash[entry + i] = prog.words[i];
-    return flash;
-}
-
-std::vector<std::pair<uint8_t, uint8_t>>
-harnessEntryRegs()
-{
-    // OpfAvrLibrary::run / Secp160AvrLibrary::run calling convention.
-    return {
-        {28, uint8_t(OpfMemoryMap::aAddr & 0xff)},
-        {29, uint8_t(OpfMemoryMap::aAddr >> 8)},
-        {30, uint8_t(OpfMemoryMap::bAddr & 0xff)},
-        {31, uint8_t(OpfMemoryMap::bAddr >> 8)},
-    };
-}
-
-std::vector<CtSecretRange>
-operandSecrets(uint16_t nbytes, bool b_too)
-{
-    std::vector<CtSecretRange> s{{OpfMemoryMap::aAddr, nbytes}};
-    if (b_too)
-        s.push_back({OpfMemoryMap::bAddr, nbytes});
-    return s;
-}
-
+/** One routine to check: a row of a loaded harness table. */
 struct Job
 {
-    std::string name;
-    Program prog;
-    uint32_t entry;
-    CtContract contract;
-    unsigned waivedBranches;
-    bool secretB; ///< b operand is secret too (not for the inverses)
-    uint16_t secretBytes;
+    std::string name; ///< report name
+    const FieldRoutine &row;
+    size_t words;     ///< operand width of the row's set
 };
+
+/** The row laid out in an otherwise erased flash image. */
+std::vector<uint16_t>
+flashOf(const FieldRoutine &row)
+{
+    std::vector<uint16_t> flash(Machine::flashWords, 0xffff);
+    for (size_t i = 0; i < row.program.words.size(); i++)
+        flash[row.entry + i] = row.program.words[i];
+    return flash;
+}
 
 } // anonymous namespace
 
@@ -103,47 +70,26 @@ main(int argc, char **argv)
         }
     }
 
-    const OpfPrime &prime = paperOpfPrime();
-    const uint16_t opfBytes = uint16_t((prime.k + 16) / 8);
-    const uint16_t secpBytes = 20;
-    // Harness load addresses (OpfAvrLibrary / Secp160AvrLibrary).
-    constexpr uint32_t invEntry = 0x4000;
-
+    // Report names: "<set>_<op>"; a row whose routine differs by mode
+    // (the OPF multiplication) is checked in both, suffixed _native
+    // and _ise.
+    OpfAvrLibrary opfNative(paperOpfPrime(), CpuMode::CA);
+    OpfAvrLibrary opfIse(paperOpfPrime(), CpuMode::ISE);
+    Secp160AvrLibrary secp(CpuMode::ISE);
     std::vector<Job> jobs;
-    // The two fold rounds of emitFinalFold each branch on the rare
-    // ripple carry; that pair is the only waived site set.
-    jobs.push_back({"opf160_add", assemble(genOpfAddSub(prime, false),
-                                           "opf_add"),
-                    0, CtContract::ConstantTime, 2, true, opfBytes});
-    jobs.push_back({"opf160_sub", assemble(genOpfAddSub(prime, true),
-                                           "opf_sub"),
-                    0, CtContract::ConstantTime, 2, true, opfBytes});
-    jobs.push_back({"opf160_mul_native",
-                    assemble(genOpfMulNative(prime), "opf_mul"),
-                    0, CtContract::ConstantTime, 2, true, opfBytes});
-    jobs.push_back({"opf160_mul_ise",
-                    assemble(genOpfMulIse(prime), "opf_mul_ise"),
-                    0, CtContract::ConstantTime, 2, true, opfBytes});
-    jobs.push_back({"opf160_inv",
-                    assemble(genOpfMontInverse(prime, invEntry),
-                             "opf_inv"),
-                    invEntry, CtContract::VariableTime, 0, false,
-                    opfBytes});
-    jobs.push_back({"secp160r1_add",
-                    assemble(genSecp160AddSub(false), "secp_add"),
-                    0, CtContract::VariableTime, 0, true, secpBytes});
-    jobs.push_back({"secp160r1_sub",
-                    assemble(genSecp160AddSub(true), "secp_sub"),
-                    0, CtContract::VariableTime, 0, true, secpBytes});
-    jobs.push_back({"secp160r1_mul",
-                    assemble(genSecp160Mul(), "secp_mul"),
-                    0, CtContract::VariableTime, 0, true, secpBytes});
-    jobs.push_back({"secp160r1_mul_ise",
-                    assemble(genSecp160MulIse(), "secp_mul_ise"),
-                    0, CtContract::VariableTime, 0, true, secpBytes});
-    jobs.push_back({"secp160r1_inv",
-                    assemble(genSecp160Inverse(), "secp_inv"),
-                    0, CtContract::VariableTime, 0, false, secpBytes});
+    for (size_t i = 0; i < opfIse.routines().size(); i++) {
+        const FieldRoutine &n = opfNative.routines()[i];
+        const FieldRoutine &r = opfIse.routines()[i];
+        std::string name = "opf160" + r.name.substr(3);
+        if (n.program.words == r.program.words) {
+            jobs.push_back({name, r, opfIse.words()});
+        } else {
+            jobs.push_back({name + "_native", n, opfNative.words()});
+            jobs.push_back({name + "_ise", r, opfIse.words()});
+        }
+    }
+    for (const FieldRoutine &r : secp.routines())
+        jobs.push_back({"secp160r1" + r.name.substr(7), r, secp.words()});
 
     // Truncate the report file: the checker is a whole-state tool,
     // not an append-only trajectory.
@@ -152,15 +98,16 @@ main(int argc, char **argv)
 
     bool allPass = true;
     for (const Job &job : jobs) {
-        CtCheckSpec spec;
-        spec.routine = job.name;
-        spec.entry = job.entry;
-        spec.contract = job.contract;
-        spec.waivedBranches = job.waivedBranches;
-        spec.secrets = operandSecrets(job.secretBytes, job.secretB);
-        spec.entryRegs = harnessEntryRegs();
-
-        CtReport rep = ctCheck(loadAt(job.prog, job.entry), spec);
+        std::optional<CtCheckSpec> spec =
+            fieldRoutineCtSpec(job.row, job.words);
+        if (!spec) {
+            std::printf("%-20s has no constant-time contract: FAIL\n",
+                        job.name.c_str());
+            allPass = false;
+            continue;
+        }
+        spec->routine = job.name;
+        CtReport rep = ctCheck(flashOf(job.row), *spec);
         allPass = allPass && rep.pass;
 
         std::printf("%-20s %-14s %s  (%zu findings, %zu waived, "
@@ -180,7 +127,7 @@ main(int argc, char **argv)
             .num("waived", double(rep.waivedCount()))
             .num("violations", double(rep.violationCount()))
             .num("states", double(rep.instsAnalyzed))
-            .num("rom_bytes", double(job.prog.romBytes()));
+            .num("rom_bytes", double(job.row.program.romBytes()));
         appendJsonLine(out, line);
 
         for (const CtFinding &f : rep.findings) {
